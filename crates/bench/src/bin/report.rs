@@ -4,6 +4,7 @@
 //! cargo run --release -p ajanta-bench --bin report            # everything
 //! cargo run --release -p ajanta-bench --bin report -- x4 x9   # a subset
 //! cargo run --release -p ajanta-bench --bin report -- quick   # small sizes
+//! cargo run --release -p ajanta-bench --bin report -- substrate quick
 //! ```
 
 use ajanta_bench as bench;
@@ -21,6 +22,10 @@ fn main() {
     let calls: u64 = if quick { 2_000 } else { 20_000 };
     let iters: u64 = if quick { 200 } else { 2_000 };
 
+    if wants("substrate") {
+        print!("{}", bench::substrate::table(iters));
+        println!();
+    }
     if wants("x3") {
         print!("{}", bench::x3_binding::table(iters));
         println!();

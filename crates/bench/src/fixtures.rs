@@ -49,26 +49,6 @@ pub fn requester() -> Requester {
 /// about; a one-entry ACL would make every mechanism look cheap.
 pub const DECOY_PRINCIPALS: usize = 64;
 
-/// A permissive policy naming the bench owner explicitly — rule-list and
-/// group scans execute realistically (an `Anyone` rule would short-circuit
-/// the cost being measured).
-pub fn bench_policy() -> SecurityPolicy {
-    let mut policy = SecurityPolicy::new();
-    // Decoy rules so per-call policy evaluation has a realistic rule list
-    // to scan.
-    for i in 0..DECOY_PRINCIPALS {
-        policy.add_rule(
-            PrincipalPattern::Exact(Urn::owner("users.org", [format!("decoy{i}")]).unwrap()),
-            Rights::on_resource(Urn::resource("stores.org", [format!("other{i}")]).unwrap()),
-        );
-    }
-    policy.add_rule(
-        PrincipalPattern::Exact(owner_urn()),
-        Rights::on_resource(store_name()),
-    );
-    policy
-}
-
 /// All five access mechanisms over the same store.
 pub struct Mechanisms {
     /// The raw, unprotected resource (floor).

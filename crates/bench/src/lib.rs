@@ -1,7 +1,7 @@
 //! The experiment harness: one driver per experiment in DESIGN.md's
-//! index (X3–X19). Drivers return structured rows; the `report` binary
-//! renders them as the tables recorded in EXPERIMENTS.md, and the
-//! Criterion benches re-measure the micro-costs with statistical rigor.
+//! index (X3–X19), plus the substrate primitive costs. Drivers return
+//! structured rows; the `report` binary renders them as the tables
+//! recorded in EXPERIMENTS.md.
 //!
 //! Real-time numbers (nanoseconds) are machine-dependent; **virtual**-time
 //! and byte numbers are exact and reproduce bit-identically from the
@@ -11,6 +11,7 @@
 #![warn(missing_docs)]
 
 pub mod fixtures;
+pub mod substrate;
 pub mod x10_transfer;
 pub mod x11_attacks;
 pub mod x12_isolation;

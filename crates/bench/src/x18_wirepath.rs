@@ -1,18 +1,14 @@
-//! X18 — wire data plane: what batching the socket send path buys.
+//! X18 — wire data plane: the coalescing socket send path under a burst.
 //!
 //! A 32-sender burst pushes small frames from one [`SocketTransport`]
-//! to another over a real loopback connection, twice: once with the
-//! per-peer writer coalescing everything queued into one stream write
-//! per wakeup (the shipped path), and once with coalescing disabled so
-//! the writer drains exactly one frame per write — the one-syscall-
-//! per-frame cost model the pre-batching transport paid. Same frames,
-//! same sealing, same wire format; the only variable is how many
-//! syscalls (and seal-buffer round trips) carry them.
+//! to another over a real loopback connection; the per-peer writer
+//! coalesces everything queued into one stream write per wakeup.
+//! EXPERIMENTS.md records what that bought over one write per frame
+//! (2.15–2.18× the frames/s).
 //!
 //! Reported per row: wall time for the burst, frames/s, the write()
 //! count, and the mean frames-per-write the transport's own coalescing
-//! counters observed. All numbers are wall-clock and machine-dependent;
-//! the *ratio* between the coalesced and baseline rows is the result.
+//! counters observed. All numbers are wall-clock and machine-dependent.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,16 +17,13 @@ use ajanta_crypto::cert::Certificate;
 use ajanta_crypto::{DetRng, KeyPair, RootOfTrust};
 use ajanta_naming::Urn;
 use ajanta_net::secure::ChannelIdentity;
-use ajanta_net::{NetAddr, SocketConfig, SocketTransport, Transport, TransportKind};
+use ajanta_net::{NetAddr, NetStats, SocketConfig, SocketTransport, Transport, TransportKind};
 
-/// One burst measurement over one transport in one writer mode.
+/// One burst measurement over one transport.
 #[derive(Debug, Clone)]
 pub struct WirePathRow {
     /// TCP loopback or Unix-domain.
     pub kind: TransportKind,
-    /// Whether the writer coalesced (true) or ran the one-frame-per-
-    /// write baseline (false).
-    pub coalesced: bool,
     /// Concurrent sender threads.
     pub senders: usize,
     /// Frames the burst sent.
@@ -116,12 +109,17 @@ impl Authority {
     }
 }
 
+/// A fresh listen address; UDS paths carry a per-process counter so
+/// trials running at once (parallel tests) never share a socket file.
 fn listen_addr(kind: TransportKind, tag: &str) -> NetAddr {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static TRIAL: AtomicU64 = AtomicU64::new(0);
     match kind {
         TransportKind::Tcp => "tcp:127.0.0.1:0".parse().unwrap(),
         TransportKind::Uds => {
-            let path =
-                std::env::temp_dir().join(format!("ajanta-x18-{tag}-{}.sock", std::process::id()));
+            let n = TRIAL.fetch_add(1, Ordering::Relaxed);
+            let path = std::env::temp_dir()
+                .join(format!("ajanta-x18-{tag}-{}-{n}.sock", std::process::id()));
             let _ = std::fs::remove_file(&path);
             NetAddr::Uds(path)
         }
@@ -133,13 +131,7 @@ fn listen_addr(kind: TransportKind, tag: &str) -> NetAddr {
 /// `payload_len` bytes at the far transport; the receiver drains until
 /// all arrive (or a generous deadline passes — the transport is lossy
 /// by contract, so the row records what actually landed).
-fn trial(
-    kind: TransportKind,
-    coalesced: bool,
-    senders: usize,
-    per_sender: u64,
-    payload_len: usize,
-) -> WirePathRow {
+fn trial(kind: TransportKind, senders: usize, per_sender: u64, payload_len: usize) -> WirePathRow {
     let mut auth = Authority::new(0x18_00 + kind as u64);
     let a_name = Urn::server("x18-a.test", ["s"]).unwrap();
     let b_name = Urn::server("x18-b.test", ["s"]).unwrap();
@@ -147,7 +139,6 @@ fn trial(
     let tb = auth.bind(&b_name, &listen_addr(kind, "b"));
     ta.add_route(b_name.clone(), tb.local_addr());
     tb.add_route(a_name.clone(), ta.local_addr());
-    ta.set_coalescing(coalesced);
     let eb = tb.attach(b_name.clone()).unwrap();
 
     // Warm the connection: dial + handshake happen once, outside the
@@ -155,6 +146,7 @@ fn trial(
     ta.send_as(&a_name, &b_name, vec![0u8; payload_len])
         .unwrap();
     eb.recv_timeout(Duration::from_secs(10)).expect("warmup");
+    settled_stats(&ta, 1);
     ta.reset_stats();
 
     let total = senders as u64 * per_sender;
@@ -187,13 +179,12 @@ fn trial(
     for h in handles {
         let _ = h.join();
     }
-    let stats = ta.stats();
+    let stats = settled_stats(&ta, received);
     ta.shutdown();
     tb.shutdown();
 
     WirePathRow {
         kind,
-        coalesced,
         senders,
         frames_sent: total,
         frames_received: received,
@@ -203,76 +194,61 @@ fn trial(
     }
 }
 
-/// Runs the burst over TCP (and UDS where available), baseline first so
-/// each coalesced row has its comparison partner.
+/// `t`'s counters once they account for `frames` written frames. The
+/// writer thread counts a batch after its write returns, which can be
+/// after the far side has already read it; reading at once could miss
+/// the batch (or, after the warmup, count it in the burst).
+fn settled_stats(t: &SocketTransport, frames: u64) -> NetStats {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let stats = t.stats();
+        if stats.frames_coalesced >= frames || Instant::now() >= deadline {
+            return stats;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Runs the burst over TCP (and UDS where available).
 pub fn run(senders: usize, per_sender: u64, payload_len: usize) -> Vec<WirePathRow> {
     let kinds: &[TransportKind] = if cfg!(unix) {
         &[TransportKind::Tcp, TransportKind::Uds]
     } else {
         &[TransportKind::Tcp]
     };
-    let mut rows = Vec::new();
-    for &kind in kinds {
-        for coalesced in [false, true] {
-            rows.push(trial(kind, coalesced, senders, per_sender, payload_len));
-        }
-    }
-    rows
-}
-
-fn mode_label(coalesced: bool) -> &'static str {
-    if coalesced {
-        "coalesced"
-    } else {
-        "frame-per-write"
-    }
-}
-
-/// Renders the table; the speedup column divides each coalesced row's
-/// frames/s by its same-transport baseline row.
-pub fn table(rows: &[WirePathRow], senders: usize, per_sender: u64, payload_len: usize) -> String {
-    let baseline: std::collections::HashMap<&'static str, f64> = rows
+    kinds
         .iter()
-        .filter(|r| !r.coalesced)
-        .map(|r| (r.kind.as_str(), r.frames_per_s()))
-        .collect();
+        .map(|&kind| trial(kind, senders, per_sender, payload_len))
+        .collect()
+}
+
+/// Renders the table.
+pub fn table(rows: &[WirePathRow], senders: usize, per_sender: u64, payload_len: usize) -> String {
     let rendered: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
-            let speedup = if r.coalesced {
-                match baseline.get(r.kind.as_str()) {
-                    Some(b) if *b > 0.0 => format!("{:.2}x", r.frames_per_s() / b),
-                    _ => "-".into(),
-                }
-            } else {
-                "1.00x".into()
-            };
             vec![
                 r.kind.as_str().to_string(),
-                mode_label(r.coalesced).to_string(),
                 format!("{}/{}", r.frames_received, r.frames_sent),
                 crate::fmt_ns(r.wall_ns as f64),
                 format!("{:.0}", r.frames_per_s()),
                 r.write_syscalls.to_string(),
                 format!("{:.1}", r.mean_frames_per_write()),
-                speedup,
             ]
         })
         .collect();
     crate::render_table(
         &format!(
             "X18 — wire data plane, {senders} senders × {per_sender} frames × \
-             {payload_len} B payload (wall time; ratio is the result)"
+             {payload_len} B payload (wall time)"
         ),
         &[
             "transport",
-            "writer mode",
             "received",
             "burst wall",
             "frames/s",
             "writes",
             "frames/write",
-            "speedup",
         ],
         &rendered,
     )
@@ -283,12 +259,11 @@ pub fn json_summary(rows: &[WirePathRow]) -> String {
     let mut out = String::from("{\n  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"transport\": \"{}\", \"coalesced\": {}, \"senders\": {}, \
+            "    {{\"transport\": \"{}\", \"senders\": {}, \
              \"frames_sent\": {}, \"frames_received\": {}, \"wall_ms\": {:.3}, \
              \"frames_per_s\": {:.1}, \"write_syscalls\": {}, \
              \"mean_frames_per_write\": {:.2}}}{}\n",
             r.kind.as_str(),
-            r.coalesced,
             r.senders,
             r.frames_sent,
             r.frames_received,
@@ -308,12 +283,12 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    /// Small burst, both writer modes: everything lands, the counters
-    /// account for every frame, and coalescing actually batches.
+    /// Small burst: everything lands, the counters account for every
+    /// frame, and no write carries less than one frame.
     #[test]
     fn burst_lands_and_counters_balance() {
         for row in run(4, 16, 64) {
-            let label = format!("{} {}", row.kind.as_str(), mode_label(row.coalesced));
+            let label = row.kind.as_str();
             assert_eq!(
                 row.frames_received, row.frames_sent,
                 "{label}: frames lost on loopback"
@@ -323,18 +298,10 @@ mod tests {
                 row.frames_coalesced, row.frames_sent,
                 "{label}: coalescing counters missed frames"
             );
-            if !row.coalesced {
-                // Baseline drains exactly one frame per write.
-                assert_eq!(
-                    row.write_syscalls, row.frames_sent,
-                    "{label}: baseline mode must pay one write per frame"
-                );
-            } else {
-                assert!(
-                    row.write_syscalls <= row.frames_sent,
-                    "{label}: coalesced mode issued more writes than frames"
-                );
-            }
+            assert!(
+                row.write_syscalls <= row.frames_sent,
+                "{label}: more writes than frames"
+            );
         }
     }
 

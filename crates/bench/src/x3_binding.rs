@@ -124,11 +124,19 @@ mod tests {
 
     #[test]
     fn binding_dominates_invocation() {
-        let rows = run(500);
-        let bind = rows[1].ns;
-        let invoke = rows[3].ns;
         // The one-time bind is more expensive than a steady-state call —
-        // that asymmetry is the whole point of proxies.
-        assert!(bind > invoke, "bind {bind} vs invoke {invoke}");
+        // that asymmetry is the whole point of proxies. Retry a few
+        // times: shape assertions on wall-clock timings are noisy while
+        // the rest of the workspace's tests share the CPUs.
+        let mut last = String::new();
+        for _ in 0..4 {
+            let rows = run(500);
+            let (bind, invoke) = (rows[1].ns, rows[3].ns);
+            if bind > invoke {
+                return;
+            }
+            last = format!("bind {bind} vs invoke {invoke}");
+        }
+        panic!("{last}");
     }
 }

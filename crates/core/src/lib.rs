@@ -63,7 +63,7 @@ pub mod trace;
 pub use buffer::{BoundedBuffer, Buffer, BufferProxy};
 pub use credentials::{CredentialError, Credentials, CredentialsBuilder, Endorsement};
 pub use domain::{AgentRecord, DomainDatabase, DomainError, DomainId, Usage, UsageLimits};
-pub use monitor::{AuditEntry, HostMonitor, SystemOp, Violation};
+pub use monitor::{HostMonitor, SystemOp, Violation};
 pub use policy::{Groups, PrincipalPattern, SecurityPolicy};
 pub use proxy::{
     AccessError, BoundMeter, Meter, MeterMode, MeterReading, ProxyControl, ResourceProxy,

@@ -14,14 +14,14 @@
 //! mutation, domain-database writes, agent launch/dispatch, and monitor
 //! replacement itself. Every decision is appended to the shared
 //! [`telemetry::Journal`](crate::telemetry::Journal) as an
-//! [`Event::Audit`](crate::telemetry::Event::Audit); [`HostMonitor::audit_log`]
-//! and [`HostMonitor::denial_count`] are views over that journal, so the
-//! monitor no longer holds (unbounded) private state of its own.
+//! [`Event::Audit`](crate::telemetry::Event::Audit), and the journal's
+//! `AuditAllowed`/`AuditDenied` counters count them exactly, so the
+//! monitor holds no (unbounded) private state of its own.
 
 use std::sync::Arc;
 
 use crate::domain::DomainId;
-use crate::telemetry::{Counter, Event, Journal};
+use crate::telemetry::{Event, Journal};
 
 /// A system-level operation subject to mediation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,18 +85,6 @@ impl std::fmt::Display for Violation {
 }
 
 impl std::error::Error for Violation {}
-
-/// One audit-log entry, as returned by [`HostMonitor::audit_log`] —
-/// a projection of [`Event::Audit`] records in the journal.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuditEntry {
-    /// Who asked.
-    pub caller: DomainId,
-    /// What was asked.
-    pub op: SystemOp,
-    /// Whether it was allowed.
-    pub allowed: bool,
-}
 
 /// The server's reference monitor.
 ///
@@ -198,47 +186,12 @@ impl HostMonitor {
             SystemOp::ReplaceMonitor => Some("the monitor cannot be replaced at runtime"),
         }
     }
-
-    /// The audit trail: every retained [`Event::Audit`] record, in order.
-    ///
-    /// This is a filtered **view** of the journal. Under the journal's
-    /// capacity bound the oldest entries may have been evicted; use
-    /// [`HostMonitor::audit_len`] for the exact lifetime count.
-    pub fn audit_log(&self) -> Vec<AuditEntry> {
-        self.journal
-            .snapshot()
-            .into_iter()
-            .filter_map(|r| match r.event {
-                Event::Audit {
-                    caller,
-                    op,
-                    allowed,
-                } => Some(AuditEntry {
-                    caller,
-                    op,
-                    allowed,
-                }),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Lifetime number of audited decisions — O(1), no cloning, and exact
-    /// even after old records are evicted from the journal.
-    pub fn audit_len(&self) -> usize {
-        (self.journal.counter(Counter::AuditAllowed) + self.journal.counter(Counter::AuditDenied))
-            as usize
-    }
-
-    /// Lifetime number of denials — O(1) counter read.
-    pub fn denial_count(&self) -> usize {
-        self.journal.counter(Counter::AuditDenied) as usize
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::Counter;
 
     #[test]
     fn server_domain_is_trusted() {
@@ -326,12 +279,18 @@ mod tests {
         let m = HostMonitor::new();
         m.check(DomainId::SERVER, SystemOp::MutateRegistry).unwrap();
         let _ = m.check(DomainId(1), SystemOp::MutateDomainDatabase);
-        let log = m.audit_log();
-        assert_eq!(log.len(), 2);
-        assert!(log[0].allowed);
-        assert!(!log[1].allowed);
-        assert_eq!(m.audit_len(), 2);
-        assert_eq!(m.denial_count(), 1);
+        let decisions: Vec<bool> = m
+            .journal()
+            .snapshot()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                Event::Audit { allowed, .. } => Some(allowed),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(decisions, [true, false]);
+        assert_eq!(m.journal().counter(Counter::AuditAllowed), 1);
+        assert_eq!(m.journal().counter(Counter::AuditDenied), 1);
     }
 
     #[test]
@@ -352,16 +311,16 @@ mod tests {
     }
 
     #[test]
-    fn audit_len_is_exact_past_journal_capacity() {
+    fn audit_counters_are_exact_past_journal_capacity() {
         let journal = Arc::new(Journal::with_capacity(8));
-        let m = HostMonitor::with_journal(journal, true);
+        let m = HostMonitor::with_journal(Arc::clone(&journal), true);
         for _ in 0..100 {
             m.check(DomainId::SERVER, SystemOp::MutateRegistry).unwrap();
         }
         // The journal retains only 8 records, but the counters are exact.
-        assert_eq!(m.audit_len(), 100);
-        assert_eq!(m.audit_log().len(), 8);
-        assert_eq!(m.denial_count(), 0);
+        assert_eq!(journal.counter(Counter::AuditAllowed), 100);
+        assert_eq!(journal.len(), 8);
+        assert_eq!(journal.counter(Counter::AuditDenied), 0);
     }
 
     #[test]

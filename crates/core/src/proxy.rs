@@ -502,14 +502,6 @@ impl ProxyControl {
         }
     }
 
-    /// String-keyed compatibility shim over
-    /// [`ProxyControl::record_use_id`]. Unknown methods are not recorded.
-    pub fn record_use(&self, method: &str, elapsed_ns: u64) {
-        if let Some(id) = self.table.id(method) {
-            self.record_use_id(id, elapsed_ns);
-        }
-    }
-
     /// Attaches a telemetry journal: subsequent charges, revocations, and
     /// expiries of this proxy are published to it, tagged with `resource`.
     /// Called by the runtime at bind time; standalone proxies stay

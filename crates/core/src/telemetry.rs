@@ -5,8 +5,8 @@
 //! leaves a trace: the reference monitor keeps an audit log (Section 3.2),
 //! and proxies meter usage so access can be charged for (Section 5.5,
 //! "Accounting and Revocation"). Before this module, that accountability
-//! was scattered over three ad-hoc sinks — the monitor's private
-//! `RwLock<Vec<AuditEntry>>`, the server's unbounded `Mutex<Vec<_>>` event
+//! was scattered over three ad-hoc sinks — the monitor's private audit
+//! vector, the server's unbounded `Mutex<Vec<_>>` event
 //! and log vectors with stringly-typed kinds, and per-proxy meter
 //! snapshots. This module replaces all of them with:
 //!
@@ -83,9 +83,8 @@ impl std::fmt::Display for Severity {
     }
 }
 
-/// Typed category for a rejected input — the former `&'static str` kinds
-/// of the server's `SecurityEvent`, promoted to an enum so experiments and
-/// tests match on variants instead of strings.
+/// Typed category for a rejected input ([`Event::Rejected`]) — an enum,
+/// so experiments and tests match on variants instead of strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RejectKind {
     /// A datagram failed authentication, decoding, or integrity checks.
@@ -664,11 +663,12 @@ pub enum Counter {
     AgentsWoken,
     WalAppends,
     WalReplays,
+    MailDelivered,
 }
 
 impl Counter {
     /// All counters, in snapshot order.
-    pub const ALL: [Counter; 28] = [
+    pub const ALL: [Counter; 29] = [
         Counter::EventsAppended,
         Counter::EventsDropped,
         Counter::AuditAllowed,
@@ -697,6 +697,7 @@ impl Counter {
         Counter::AgentsWoken,
         Counter::WalAppends,
         Counter::WalReplays,
+        Counter::MailDelivered,
     ];
 
     /// The exported metric name.
@@ -730,6 +731,7 @@ impl Counter {
             Counter::AgentsWoken => "ajanta_agents_woken_total",
             Counter::WalAppends => "ajanta_wal_appends_total",
             Counter::WalReplays => "ajanta_wal_replays_total",
+            Counter::MailDelivered => "ajanta_mail_delivered_total",
         }
     }
 
@@ -764,6 +766,7 @@ impl Counter {
             Counter::AgentsWoken => "Hibernated agents rehydrated back to the scheduler.",
             Counter::WalAppends => "Admission records appended to the write-ahead log.",
             Counter::WalReplays => "In-flight agents re-admitted from a replayed WAL.",
+            Counter::MailDelivered => "Mail messages delivered to resident agents.",
         }
     }
 }
@@ -1559,10 +1562,14 @@ impl Journal {
     }
 
     /// Every retained record with `seq >= cursor`, globally ordered — the
-    /// journal-follow primitive. Sequence numbers are dense, so a reader
-    /// holding `cursor` detects loss exactly: if the first returned
-    /// record's seq exceeds the cursor, the gap was evicted (and is
-    /// accounted in [`Journal::dropped`]).
+    /// journal-follow primitive. Sequence numbers are dense, but a missing
+    /// one is not always an eviction: [`Journal::append_at`] takes a
+    /// record's seq before the record lands in its shard, so seq `n + 1`
+    /// can be returned while `n` is still on its way. Eviction (accounted
+    /// in [`Journal::dropped`]) explains a missing `seq` once
+    /// `seq + capacity < next_seq`, when enough appends have wrapped its
+    /// shard; a follower must wait at any other hole rather than move its
+    /// cursor past it.
     pub fn since(&self, cursor: u64) -> Vec<Record> {
         let mut all: Vec<Record> = self
             .shards

@@ -53,6 +53,6 @@ pub use frame::{ChannelFrame, FrameBuffer, FrameError, MAX_FRAME};
 pub use link::LinkModel;
 pub use secure::{ChannelError, ChannelIdentity, PendingInitiation, SecureChannel};
 pub use sim::{Delivery, Endpoint, NetError, NetStats, SimNet};
-pub use socket::{NetAddr, SocketConfig, SocketTransport};
+pub use socket::{Listener, NetAddr, SocketConfig, SocketTransport, Stream};
 pub use time::{fmt_ns, VClock};
 pub use transport::{FrameRejectHook, NetEndpoint, Transport, TransportKind, WriteBatchHook};

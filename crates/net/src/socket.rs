@@ -175,15 +175,19 @@ impl std::str::FromStr for NetAddr {
 // Streams and listeners
 // ---------------------------------------------------------------------------
 
-/// One connected byte pipe, TCP or Unix-domain.
-enum Stream {
+/// One connected byte pipe, TCP or Unix-domain. TCP streams run with
+/// `TCP_NODELAY`, whether dialed or accepted.
+pub enum Stream {
+    /// A TCP connection.
     Tcp(TcpStream),
+    /// A Unix-domain connection.
     #[cfg(unix)]
     Uds(UnixStream),
 }
 
 impl Stream {
-    fn connect(addr: &NetAddr) -> std::io::Result<Stream> {
+    /// Dials `addr`.
+    pub fn connect(addr: &NetAddr) -> std::io::Result<Stream> {
         match addr {
             NetAddr::Tcp(a) => {
                 let s = TcpStream::connect(a)?;
@@ -208,7 +212,8 @@ impl Stream {
         }
     }
 
-    fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
+    /// Bounds how long a read blocks (`None`: forever).
+    pub fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
         match self {
             Stream::Tcp(s) => s.set_read_timeout(t),
             #[cfg(unix)]
@@ -253,14 +258,20 @@ impl Write for Stream {
     }
 }
 
-enum Listener {
+/// A non-blocking listener, TCP or Unix-domain. Dropping a Unix-domain
+/// listener removes its socket file.
+pub enum Listener {
+    /// A TCP listener.
     Tcp(TcpListener),
+    /// A Unix-domain listener and the path it is bound to.
     #[cfg(unix)]
     Uds(UnixListener, PathBuf),
 }
 
 impl Listener {
-    fn bind(addr: &NetAddr) -> std::io::Result<(Listener, NetAddr)> {
+    /// Binds `addr` (`tcp:127.0.0.1:0` picks an ephemeral port) and
+    /// returns the listener with the address it actually bound.
+    pub fn bind(addr: &NetAddr) -> std::io::Result<(Listener, NetAddr)> {
         match addr {
             NetAddr::Tcp(a) => {
                 let l = TcpListener::bind(a)?;
@@ -283,7 +294,7 @@ impl Listener {
     }
 
     /// Non-blocking accept: `Ok(None)` when no connection is pending.
-    fn accept(&self) -> std::io::Result<Option<Stream>> {
+    pub fn accept(&self) -> std::io::Result<Option<Stream>> {
         let res = match self {
             Listener::Tcp(l) => l.accept().map(|(s, _)| {
                 let _ = s.set_nodelay(true);
@@ -429,9 +440,6 @@ struct SockInner {
     stats: TransportStats,
     reject: Mutex<Option<FrameRejectHook>>,
     write_hook: Mutex<Option<WriteBatchHook>>,
-    /// `false` switches writers to one-frame-per-write — the pre-batching
-    /// wire path, kept as the X18 bench baseline.
-    coalesce: AtomicBool,
     stop: AtomicBool,
     /// Bumped by every send/receive; the ticker parks when it stops
     /// moving instead of spinning the clock forward for nobody.
@@ -717,7 +725,7 @@ fn writer_loop(inner: Arc<SockInner>, link: Arc<PeerLink>) {
     let mut out: Vec<u8> = Vec::new();
 
     loop {
-        // Pull the next batch (or a single frame in baseline mode).
+        // Pull everything queued as the next batch.
         {
             let mut tx = link.tx.lock();
             loop {
@@ -737,21 +745,9 @@ fn writer_loop(inner: Arc<SockInner>, link: Arc<PeerLink>) {
                 }
                 tx = link.wake.wait_timeout(tx, PARK_BACKSTOP).0;
             }
-            if inner.coalesce.load(Ordering::Relaxed) {
-                std::mem::swap(&mut pending, &mut tx.queue);
-                pending_frames = tx.frames;
-                tx.frames = 0;
-            } else {
-                // Baseline (pre-batching) mode: one frame per write.
-                let take = {
-                    let (_, rest) = split_next_body(&tx.queue);
-                    tx.queue.len() - rest.len()
-                };
-                pending.extend_from_slice(&tx.queue[..take]);
-                tx.queue.drain(..take);
-                tx.frames -= 1;
-                pending_frames = 1;
-            }
+            std::mem::swap(&mut pending, &mut tx.queue);
+            pending_frames = tx.frames;
+            tx.frames = 0;
         }
 
         // Seal and write the batch; redial once on failure.
@@ -1023,7 +1019,6 @@ impl SocketTransport {
             stats: TransportStats::default(),
             reject: Mutex::new(None),
             write_hook: Mutex::new(None),
-            coalesce: AtomicBool::new(true),
             stop: AtomicBool::new(false),
             activity: AtomicU64::new(0),
             ticker_parked: AtomicBool::new(false),
@@ -1092,14 +1087,6 @@ impl SocketTransport {
             conn.dead.store(true, Ordering::Release);
             conn.raw.shutdown();
         }
-    }
-
-    /// Enables or disables write coalescing. With `false`, each writer
-    /// drains one frame per stream write — the pre-batching wire path —
-    /// which is what the X18 bench measures the data plane against.
-    /// Defaults to enabled.
-    pub fn set_coalescing(&self, enabled: bool) {
-        self.inner.coalesce.store(enabled, Ordering::Relaxed);
     }
 }
 

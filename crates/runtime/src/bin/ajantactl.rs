@@ -16,7 +16,7 @@
 //! ajantactl --ctl uds:/tmp/ajanta.ctl follow --for-ms 2000
 //! ajantactl --ctl uds:/tmp/ajanta.ctl hibernate ajn://…/agent/…
 //! ajantactl --ctl uds:/tmp/a.ctl --ctl uds:/tmp/b.ctl revoke ajn://…/resource/jobs
-//! ajantactl trace server0.jsonl server1.jsonl   # offline, replaces tracectl
+//! ajantactl trace server0.jsonl server1.jsonl   # offline
 //! ```
 //!
 //! Subcommands: `health`, `status`, `list`, `info`, `logs`, `journal`,

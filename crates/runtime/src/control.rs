@@ -31,16 +31,14 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ajanta_core::telemetry::TelemetrySnapshot;
+use ajanta_core::telemetry::{Record, TelemetrySnapshot};
 use ajanta_naming::Urn;
 use ajanta_net::frame::{encode_frame, FrameBuffer};
-use ajanta_net::socket::NetAddr;
+use ajanta_net::socket::{Listener, NetAddr, Stream};
 use ajanta_wire::{Decoder, Encoder, Wire, WireError};
 use parking_lot::Mutex;
 
@@ -52,6 +50,10 @@ pub const CONTROL_VERSION: u64 = 1;
 
 /// Sanity cap on collection lengths inside control responses.
 const MAX_ITEMS: usize = 1 << 16;
+
+/// How long the accept loop sleeps when no connection is pending (or
+/// `accept` fails) — also how soon it notices a shutdown.
+const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Where an agent currently is, as far as one server knows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -832,7 +834,7 @@ fn agent_info(v: &ControlView, agent: &Urn) -> Option<AgentDetail> {
 
 fn journal_page(v: &ControlView, cursor: Option<u64>, max: usize) -> JournalPage {
     let journal = v.journal();
-    let records = match cursor {
+    let mut records = match cursor {
         // Tail: the newest `max`.
         None => journal.recent(max),
         // Follow: oldest-first from the cursor, capped.
@@ -842,10 +844,13 @@ fn journal_page(v: &ControlView, cursor: Option<u64>, max: usize) -> JournalPage
             r
         }
     };
-    let next_cursor = records
-        .last()
-        .map(|r| r.seq + 1)
-        .unwrap_or_else(|| cursor.unwrap_or_else(|| journal.next_seq()));
+    // Read after the records, so every seq they show counts as taken.
+    let next_cursor = cut_at_publish_hole(
+        &mut records,
+        cursor,
+        journal.next_seq(),
+        journal.capacity() as u64,
+    );
     JournalPage {
         server: v.name().clone(),
         entries: records
@@ -864,47 +869,31 @@ fn journal_page(v: &ControlView, cursor: Option<u64>, max: usize) -> JournalPage
     }
 }
 
-enum Listener {
-    Tcp(TcpListener),
-    Uds(UnixListener),
-}
-
-enum Stream {
-    Tcp(TcpStream),
-    Uds(UnixStream),
-}
-
-impl Stream {
-    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.set_read_timeout(t),
-            Stream::Uds(s) => s.set_read_timeout(t),
-        }
+/// Ends a page of `records` (ascending by seq) before the first hole
+/// eviction cannot explain, and returns the cursor to resume from. A
+/// record's seq is taken before the record lands in its shard, so a read
+/// can show seq `n + 1` while `n` is still on its way; a cursor moved
+/// past `n` would lose it for good. Eviction explains a missing seq
+/// once `seq + capacity < next_seq`, when enough appends have wrapped its
+/// shard; the cursor waits at any other hole until its record lands.
+fn cut_at_publish_hole(
+    records: &mut Vec<Record>,
+    cursor: Option<u64>,
+    next_seq: u64,
+    capacity: u64,
+) -> u64 {
+    let mut expected = cursor;
+    let hole = records.iter().position(|r| {
+        let unexplained = expected.is_some_and(|e| r.seq > e && r.seq - 1 + capacity >= next_seq);
+        expected = Some(r.seq + 1);
+        unexplained
+    });
+    if let Some(i) = hole {
+        records.truncate(i);
     }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Uds(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Uds(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Uds(s) => s.flush(),
-        }
-    }
+    records
+        .last()
+        .map_or_else(|| cursor.unwrap_or(next_seq), |r| r.seq + 1)
 }
 
 /// The control socket server: an accept loop plus one thread per
@@ -925,43 +914,36 @@ impl ControlServer {
     /// is removed before binding (the bind would otherwise fail), and
     /// removed again on shutdown.
     pub fn serve(addr: &NetAddr, views: Vec<ControlView>) -> io::Result<ControlServer> {
-        let (listener, effective) = match addr {
-            NetAddr::Tcp(a) => {
-                let l = TcpListener::bind(a)?;
-                let local = l.local_addr()?;
-                (Listener::Tcp(l), NetAddr::Tcp(local))
-            }
-            NetAddr::Uds(path) => {
-                let _ = std::fs::remove_file(path);
-                let l = UnixListener::bind(path)?;
-                (Listener::Uds(l), NetAddr::Uds(path.clone()))
-            }
-        };
+        if let NetAddr::Uds(path) = addr {
+            let _ = std::fs::remove_file(path);
+        }
+        let (listener, effective) = Listener::bind(addr)?;
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept_stop = Arc::clone(&stop);
         let accept_conns = Arc::clone(&conns);
         let views = Arc::new(views);
+        // The listener is non-blocking: the loop polls, so it sees the
+        // stop flag within one poll and never spins on a failing accept.
+        // Dropping the listener on exit removes a UDS socket file.
         let accept_join = std::thread::Builder::new()
             .name("ajanta-ctl-accept".into())
-            .spawn(move || loop {
-                let stream = match &listener {
-                    Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-                    Listener::Uds(l) => l.accept().map(|(s, _)| Stream::Uds(s)),
-                };
-                if accept_stop.load(Ordering::Acquire) {
-                    return;
-                }
-                let Ok(stream) = stream else { continue };
-                let views = Arc::clone(&views);
-                let conn_stop = Arc::clone(&accept_stop);
-                if let Ok(handle) = std::thread::Builder::new()
-                    .name("ajanta-ctl-conn".into())
-                    .spawn(move || serve_connection(stream, &views, &conn_stop))
-                {
-                    let mut conns = accept_conns.lock();
-                    conns.retain(|h| !h.is_finished());
-                    conns.push(handle);
+            .spawn(move || {
+                while !accept_stop.load(Ordering::Acquire) {
+                    let Ok(Some(stream)) = listener.accept() else {
+                        std::thread::sleep(ACCEPT_POLL);
+                        continue;
+                    };
+                    let views = Arc::clone(&views);
+                    let conn_stop = Arc::clone(&accept_stop);
+                    if let Ok(handle) = std::thread::Builder::new()
+                        .name("ajanta-ctl-conn".into())
+                        .spawn(move || serve_connection(stream, &views, &conn_stop))
+                    {
+                        let mut conns = accept_conns.lock();
+                        conns.retain(|h| !h.is_finished());
+                        conns.push(handle);
+                    }
                 }
             })
             .expect("spawning control accept thread");
@@ -982,23 +964,11 @@ impl ControlServer {
     /// and removes a UDS socket file.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::Release);
-        // Unblock the accept loop with a throwaway connection.
-        match &self.addr {
-            NetAddr::Tcp(a) => {
-                let _ = TcpStream::connect_timeout(a, Duration::from_millis(250));
-            }
-            NetAddr::Uds(p) => {
-                let _ = UnixStream::connect(p);
-            }
-        }
         if let Some(join) = self.accept_join.take() {
             let _ = join.join();
         }
         for handle in std::mem::take(&mut *self.conns.lock()) {
             let _ = handle.join();
-        }
-        if let NetAddr::Uds(p) = &self.addr {
-            let _ = std::fs::remove_file(p);
         }
     }
 }
@@ -1056,10 +1026,7 @@ pub struct ControlClient {
 impl ControlClient {
     /// Connects to a control socket.
     pub fn connect(addr: &NetAddr) -> io::Result<ControlClient> {
-        let stream = match addr {
-            NetAddr::Tcp(a) => Stream::Tcp(TcpStream::connect(a)?),
-            NetAddr::Uds(p) => Stream::Uds(UnixStream::connect(p)?),
-        };
+        let stream = Stream::connect(addr)?;
         stream.set_read_timeout(Some(Duration::from_secs(30)))?;
         Ok(ControlClient {
             stream,
@@ -1370,5 +1337,42 @@ mod tests {
         holed.next_cursor = 35;
         f.ingest(&holed);
         assert_eq!(f.unexplained_gaps, 10);
+    }
+
+    /// A read that shows seq 12 while 11 is still being published: the
+    /// page ends before 11 and the cursor waits there. Once `capacity`
+    /// more seqs are taken, 11 can only have been evicted and the page
+    /// steps over it.
+    #[test]
+    fn pages_stop_at_a_publish_hole() {
+        let record = |seq| Record {
+            seq,
+            at: 0,
+            severity: crate::Severity::Info,
+            event: crate::Event::AgentLog {
+                agent: urn("agent", "a"),
+                text: String::new(),
+            },
+        };
+        let seqs = |page: &[Record]| page.iter().map(|r| r.seq).collect::<Vec<_>>();
+
+        let mut page = vec![record(10), record(12)];
+        assert_eq!(cut_at_publish_hole(&mut page, Some(10), 13, 64), 11);
+        assert_eq!(seqs(&page), [10]);
+        // The hole sits at the cursor: nothing is served yet.
+        let mut page = vec![record(12)];
+        assert_eq!(cut_at_publish_hole(&mut page, Some(11), 13, 64), 11);
+        assert!(page.is_empty());
+        // A tail page is cut the same way.
+        let mut page = vec![record(10), record(12)];
+        assert_eq!(cut_at_publish_hole(&mut page, None, 13, 64), 11);
+        assert_eq!(seqs(&page), [10]);
+        // 11 + 64 >= 75: still possibly in flight.
+        let mut page = vec![record(10), record(12)];
+        assert_eq!(cut_at_publish_hole(&mut page, Some(10), 75, 64), 11);
+        // 11 + 64 < 76: evicted; the page serves past it.
+        let mut page = vec![record(10), record(12)];
+        assert_eq!(cut_at_publish_hole(&mut page, Some(10), 76, 64), 13);
+        assert_eq!(seqs(&page), [10, 12]);
     }
 }

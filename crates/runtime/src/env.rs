@@ -357,7 +357,7 @@ impl HostInterface for AgentEnv {
                 let result = proxy.invoke(self.domain, method, &call_args, self.now());
                 // Each access is a child span of the admission; the
                 // detail's three whitespace-separated tokens (resource,
-                // method, outcome) are what `tracectl`'s anomaly scan
+                // method, outcome) are what `ajantactl trace`'s anomaly scan
                 // parses to spot accesses that postdate a revocation.
                 let outcome = match &result {
                     Ok(_) => "ok",

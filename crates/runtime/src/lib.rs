@@ -56,9 +56,7 @@ pub use multiproc::{
 };
 pub use owner::Owner;
 pub use sched::{SchedDepths, Scheduler, DEFAULT_SLICE_FUEL};
-pub use server::{
-    AgentServer, ControlView, QueryError, RetryPolicy, SecurityEvent, ServerConfig, ServerHandle,
-};
+pub use server::{AgentServer, ControlView, QueryError, RetryPolicy, ServerConfig, ServerHandle};
 pub use vmres::VmResource;
 pub use wal::{AdmissionWal, WalRecord, WalRecovery};
 pub use world::{TransportMode, World};

@@ -38,8 +38,7 @@ use ajanta_core::{
     BoundedBuffer, Counter, Event, Guarded, PrincipalPattern, ProxyPolicy, Rights, SecurityPolicy,
     UsageLimits,
 };
-use ajanta_crypto::cert::Certificate;
-use ajanta_crypto::{DetRng, KeyPair, RootOfTrust};
+use ajanta_crypto::RootOfTrust;
 use ajanta_naming::Urn;
 use ajanta_net::secure::ChannelIdentity;
 use ajanta_net::{LinkFault, NetAddr, SocketConfig, SocketTransport, Transport};
@@ -60,8 +59,6 @@ pub struct DerivedWorld {
     pub names: Vec<Urn>,
     /// Per-server channel identities (keys + CA-issued chain).
     pub identities: Vec<ChannelIdentity>,
-    /// Per-server long-term signing keys.
-    pub keys: Vec<KeyPair>,
     /// Per-server config seeds (same stream in every process).
     pub server_seeds: Vec<u64>,
     /// A directory pre-published with every server's certificate.
@@ -70,68 +67,25 @@ pub struct DerivedWorld {
     pub owner: Owner,
 }
 
-/// Derives the whole world's identities from `seed`. Mirrors
-/// [`WorldBuilder::build`](crate::world::WorldBuilder::build)'s rng
-/// discipline so the derivation is stable and auditable.
+/// Derives the whole world's identities from `seed`, minted exactly as
+/// [`WorldBuilder::build`](crate::world::WorldBuilder::build) mints its
+/// own: the same seed gives the same CA and server keys.
 pub fn derive_world(seed: u64, servers: usize) -> DerivedWorld {
-    let mut rng = DetRng::new(seed);
-    let _net_seed = rng.next_u64();
-    let ca = KeyPair::generate(&mut rng);
-    let mut roots = RootOfTrust::new();
-    roots.trust("ca.world", ca.public);
-    let directory = Directory::new();
-
-    let mut names = Vec::with_capacity(servers);
-    let mut identities = Vec::with_capacity(servers);
-    let mut keys_v = Vec::with_capacity(servers);
-    let mut server_seeds = Vec::with_capacity(servers);
-    let mut serial = 1;
-    for i in 0..servers {
-        let name = Urn::server(format!("proc{i}.org"), ["s".to_string()])
-            .expect("generated name is canonical");
-        let keys = KeyPair::generate(&mut rng);
-        let cert = Certificate::issue(
-            name.to_string(),
-            keys.public,
-            "ca.world",
-            &ca,
-            u64::MAX,
-            serial,
-            &mut rng,
-        );
-        serial += 1;
-        directory.publish(name.clone(), cert.clone());
-        identities.push(ChannelIdentity {
-            name: name.clone(),
-            keys: keys.clone(),
-            chain: vec![cert],
-        });
-        names.push(name);
-        keys_v.push(keys);
-        server_seeds.push(rng.next_u64());
-    }
-
-    let owner_name = Urn::owner("users.org", ["traveler"]).expect("canonical owner name");
-    let owner_keys = KeyPair::generate(&mut rng);
-    serial += 1;
-    let owner_cert = Certificate::issue(
-        owner_name.to_string(),
-        owner_keys.public,
-        "ca.world",
-        &ca,
-        u64::MAX,
-        serial,
-        &mut rng,
-    );
-    let owner = Owner::new(owner_name, owner_keys, vec![owner_cert], rng.next_u64());
-
+    let names: Vec<Urn> = (0..servers)
+        .map(|i| {
+            Urn::server(format!("proc{i}.org"), ["s".to_string()])
+                .expect("generated name is canonical")
+        })
+        .collect();
+    let mut minted = crate::world::mint(seed, &names);
+    let owner = minted.authority.owner("traveler");
+    let (identities, server_seeds) = minted.servers.into_iter().unzip();
     DerivedWorld {
-        roots,
+        roots: minted.roots,
         names,
         identities,
-        keys: keys_v,
         server_seeds,
-        directory,
+        directory: minted.directory,
         owner,
     }
 }
@@ -280,12 +234,11 @@ pub fn run_child(opts: ChildOpts) -> Result<(), String> {
         transport.set_adversary(Some(Arc::new(fault)));
     }
 
-    let server = AgentServer::spawn_on(
+    let server = AgentServer::spawn(
         Arc::clone(&transport) as Arc<dyn Transport>,
         ServerConfig {
             name: derived.names[i].clone(),
             identity: derived.identities[i].clone(),
-            keys: derived.keys[i].clone(),
             roots: derived.roots.clone(),
             directory: derived.directory.clone(),
             policy: SecurityPolicy::new().allow(PrincipalPattern::Anyone, Rights::all()),
@@ -303,7 +256,6 @@ pub fn run_child(opts: ChildOpts) -> Result<(), String> {
             },
             vm_limits: ajanta_vm::Limits::default(),
             agents_may_dispatch: true,
-            replay_window_ns: u64::MAX / 4,
             retry: RetryPolicy {
                 max_attempts: 14,
                 ack_grace: Duration::from_millis(10),

@@ -27,10 +27,10 @@ use ajanta_core::{
     ResourceRegistry, Rights, SecurityPolicy, SpanContext, SpanId, SpanKind, SystemOp, TraceId,
     UsageLimits,
 };
-use ajanta_crypto::{DetRng, KeyPair, RootOfTrust};
+use ajanta_crypto::{DetRng, RootOfTrust};
 use ajanta_naming::Urn;
 use ajanta_net::secure::ChannelIdentity;
-use ajanta_net::{Delivery, NetEndpoint, ReplayGuard, SealedDatagram, SimNet, Transport};
+use ajanta_net::{Delivery, NetEndpoint, ReplayGuard, SealedDatagram, Transport};
 use ajanta_vm::{
     AgentImage, ExecOutcome, Interpreter, Limits, Module, Namespace, SliceOutcome, Value,
     VerifiedModule,
@@ -134,6 +134,11 @@ impl RetryPolicy {
 /// than a minute of real time before a frame is declared lost.
 const MAX_ACK_GRACE: Duration = Duration::from_secs(60);
 
+/// Replay-guard freshness window (virtual ns) of every server: a quarter
+/// of the clock's range, so no datagram ever ages out and every nonce
+/// stays remembered.
+const REPLAY_WINDOW_NS: u64 = u64::MAX / 4;
+
 /// Why [`ServerHandle::query_status`] failed — a dead/unreachable server
 /// is now distinguishable from a server that replied "not resident".
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,57 +161,13 @@ impl std::fmt::Display for QueryError {
 
 impl std::error::Error for QueryError {}
 
-/// A recorded security-relevant rejection (experiment X11's raw data) —
-/// a projection of the journal's [`Event::Rejected`] records, kept as a
-/// convenience view; the journal itself is reachable via
-/// [`ServerHandle::journal`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SecurityEvent {
-    /// Virtual time of the event.
-    pub at: u64,
-    /// Typed category (formerly a `&'static str`; `kind.as_str()` yields
-    /// the old kebab-case label).
-    pub kind: RejectKind,
-    /// Human-readable detail.
-    pub detail: String,
-}
-
-/// Aggregate counters exposed by [`ServerHandle::stats`].
-#[derive(Debug, Default)]
-pub struct ServerStats {
-    /// Agents admitted and executed.
-    pub agents_hosted: AtomicU64,
-    /// Transfers sent onward (migrations out + launches).
-    pub transfers_out: AtomicU64,
-    /// Reports received (as a home site).
-    pub reports_in: AtomicU64,
-    /// Mail messages delivered to local agents.
-    pub mail_delivered: AtomicU64,
-}
-
-/// Snapshot of [`ServerStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Agents admitted and executed.
-    pub agents_hosted: u64,
-    /// Transfers sent onward.
-    pub transfers_out: u64,
-    /// Reports received.
-    pub reports_in: u64,
-    /// Mail messages delivered.
-    pub mail_delivered: u64,
-}
-
 /// Configuration for one server.
 pub struct ServerConfig {
     /// The server's global name.
     pub name: Urn,
     /// Its signing identity (certificate chain should be published in the
-    /// directory by the caller).
+    /// directory by the caller); its key pair also decrypts datagrams.
     pub identity: ChannelIdentity,
-    /// Full key pair (the identity holds the same keys; kept explicitly
-    /// for datagram decryption).
-    pub keys: KeyPair,
     /// Trusted certificate roots.
     pub roots: RootOfTrust,
     /// The shared server directory.
@@ -221,8 +182,6 @@ pub struct ServerConfig {
     pub vm_limits: Limits,
     /// Whether visiting agents may dispatch further agents.
     pub agents_may_dispatch: bool,
-    /// Replay-guard freshness window (virtual ns).
-    pub replay_window_ns: u64,
     /// Retry/backoff policy for transfers and reports.
     pub retry: RetryPolicy,
     /// Seed for this server's nonce/ephemeral randomness.
@@ -359,7 +318,6 @@ fn mailbox_shard_of(agent: &Urn) -> usize {
 pub struct Shared {
     name: Urn,
     identity: ChannelIdentity,
-    keys: KeyPair,
     roots: RootOfTrust,
     directory: Directory,
     net: Arc<dyn Transport>,
@@ -386,7 +344,6 @@ pub struct Shared {
     reports_cv: Condvar,
     rng: Mutex<DetRng>,
     guard: Mutex<ReplayGuard>,
-    stats: ServerStats,
     pending_queries:
         Mutex<BTreeMap<u64, crossbeam::channel::Sender<Result<AgentStatus, QueryError>>>>,
     next_query_id: AtomicU64,
@@ -581,7 +538,7 @@ impl Shared {
             .entry(to.clone())
             .or_default()
             .push_back((from, data));
-        self.stats.mail_delivered.fetch_add(1, Ordering::Relaxed);
+        self.journal.counters().add(Counter::MailDelivered, 1);
         if self.bundles.contains(&to) {
             self.wake_agent(&to);
         }
@@ -662,7 +619,6 @@ impl Shared {
         image
             .validate()
             .map_err(|e| format!("child image invalid: {e}"))?;
-        self.stats.transfers_out.fetch_add(1, Ordering::Relaxed);
         self.journal.append(Event::AgentDispatched {
             agent: child.clone(),
             dest: dest.clone(),
@@ -734,7 +690,6 @@ impl Shared {
     /// reports pass `None` — their report span was journaled in
     /// [`Shared::report_home`] already.
     fn record_report(&self, report: Report, ctx: Option<SpanContext>) {
-        self.stats.reports_in.fetch_add(1, Ordering::Relaxed);
         if let Some(ctx) = ctx {
             self.emit_span(
                 ctx.child(self.journal.mint_span()),
@@ -1335,11 +1290,13 @@ enum Control {
     Shutdown,
 }
 
-/// The running server's control handle. Dropping it does **not** stop the
-/// server; call [`ServerHandle::shutdown`].
+/// The running server's control handle: the server's [`ControlView`]
+/// (which it dereferences to) plus what only the owner of the server's
+/// lifecycle may do — launch agents, register resources, edit policy,
+/// shut down. Dropping it does **not** stop the server; call
+/// [`ServerHandle::shutdown`].
 pub struct ServerHandle {
-    name: Urn,
-    shared: Arc<Shared>,
+    view: ControlView,
     ctrl: Sender<Control>,
     join: Option<std::thread::JoinHandle<()>>,
     retry_join: Option<std::thread::JoinHandle<()>>,
@@ -1348,12 +1305,15 @@ pub struct ServerHandle {
     owns_sched: bool,
 }
 
-impl ServerHandle {
-    /// The server's name.
-    pub fn name(&self) -> &Urn {
-        &self.name
-    }
+impl std::ops::Deref for ServerHandle {
+    type Target = ControlView;
 
+    fn deref(&self) -> &ControlView {
+        &self.view
+    }
+}
+
+impl ServerHandle {
     /// Launches an agent from this (home) server toward `dest`.
     pub fn launch(&self, dest: Urn, credentials: Credentials, image: AgentImage) {
         let _ = self.ctrl.send(Control::Launch {
@@ -1371,7 +1331,7 @@ impl ServerHandle {
     pub fn launch_tour(&self, itinerary: &Itinerary, credentials: Credentials, image: AgentImage) {
         let (dest, rest) = itinerary.clone().next_stop();
         let Some(dest) = dest else {
-            self.shared.report_home(
+            self.view.shared.report_home(
                 &credentials.agent.clone(),
                 &credentials,
                 ReportStatus::Refused("launch with empty itinerary".into()),
@@ -1390,30 +1350,31 @@ impl ServerHandle {
 
     /// Registers a resource in this server's registry (server domain).
     pub fn register_resource(&self, resource: Arc<dyn AccessProtocol>) -> Result<(), String> {
-        let registrar = self.name.clone();
-        self.shared
+        let shared = &self.view.shared;
+        shared
             .registry
-            .register(&self.shared.monitor, DomainId::SERVER, &registrar, resource)
+            .register(&shared.monitor, DomainId::SERVER, &shared.name, resource)
             .map_err(|e| e.to_string())
     }
 
     /// Runs `f` against the server's policy (e.g. to add rules at
     /// runtime — Section 5.1's dynamically modified policies).
     pub fn with_policy<R>(&self, f: impl FnOnce(&mut SecurityPolicy) -> R) -> R {
-        f(&mut self.shared.policy.write())
+        f(&mut self.view.shared.policy.write())
     }
 
     /// Snapshot of reports received here as a home site.
     pub fn reports(&self) -> Vec<Report> {
-        self.shared.reports.lock().clone()
+        self.view.shared.reports.lock().clone()
     }
 
     /// Blocks (real time) until at least `n` reports have arrived or the
     /// timeout elapses; returns the snapshot either way. Waiters park on
     /// a condvar signalled per arrival — no busy-poll, no 2 ms stairs.
     pub fn wait_reports(&self, n: usize, timeout: std::time::Duration) -> Vec<Report> {
+        let shared = &self.view.shared;
         let deadline = Instant::now() + timeout;
-        let mut reports = self.shared.reports.lock();
+        let mut reports = shared.reports.lock();
         loop {
             if reports.len() >= n {
                 return reports.clone();
@@ -1422,7 +1383,7 @@ impl ServerHandle {
             if now >= deadline {
                 return reports.clone();
             }
-            let (g, _) = self.shared.reports_cv.wait_timeout(reports, deadline - now);
+            let (g, _) = shared.reports_cv.wait_timeout(reports, deadline - now);
             reports = g;
         }
     }
@@ -1459,88 +1420,9 @@ impl ServerHandle {
         }
     }
 
-    /// Per-agent log lines — a filtered view of the journal's
-    /// [`Event::AgentLog`] records. Bounded by the journal capacity; the
-    /// exact lifetime count (including evicted lines) is the journal's
-    /// `LogLines` counter.
-    pub fn logs(&self) -> Vec<(Urn, String)> {
-        self.logs_tail(usize::MAX)
-    }
-
-    /// The `n` most recent per-agent log lines, oldest first — the
-    /// bounded variant the control plane serves, so one request can't
-    /// clone an unbounded log vector.
-    pub fn logs_tail(&self, n: usize) -> Vec<(Urn, String)> {
-        logs_tail_of(&self.shared.journal, n)
-    }
-
-    /// Security events recorded by this server — a filtered view of the
-    /// journal's [`Event::Rejected`] records.
-    pub fn security_events(&self) -> Vec<SecurityEvent> {
-        self.shared
-            .journal
-            .snapshot()
-            .into_iter()
-            .filter_map(|r| match r.event {
-                Event::Rejected { kind, detail } => Some(SecurityEvent {
-                    at: r.at,
-                    kind,
-                    detail,
-                }),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The server's telemetry journal: typed events, aggregate counters,
-    /// and the Prometheus-style snapshot.
-    pub fn journal(&self) -> Arc<Journal> {
-        Arc::clone(&self.shared.journal)
-    }
-
-    /// Number of reliable sends still awaiting an ack (or their
-    /// dead-stop). A trace export is only guaranteed orphan-free once
-    /// every server reports zero here: the Transfer span for a leg is
-    /// journaled when the leg *resolves*, so exporting mid-flight can
-    /// miss parents of already-journaled Retry and Admission spans.
-    pub fn pending_send_count(&self) -> usize {
-        self.shared.pending_sends.lock().len()
-    }
-
-    /// Exports this server's trace-relevant journal records as JSONL for
-    /// offline merging (`ajanta_core::trace::parse_jsonl`, `tracectl`).
-    pub fn export_jsonl(&self) -> String {
-        ajanta_core::trace::export_journal(
-            &self.shared.name().to_string(),
-            &self.shared.journal.snapshot(),
-        )
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            agents_hosted: self.shared.stats.agents_hosted.load(Ordering::Relaxed),
-            transfers_out: self.shared.stats.transfers_out.load(Ordering::Relaxed),
-            reports_in: self.shared.stats.reports_in.load(Ordering::Relaxed),
-            mail_delivered: self.shared.stats.mail_delivered.load(Ordering::Relaxed),
-        }
-    }
-
     /// Number of currently resident agents.
     pub fn resident_agents(&self) -> usize {
-        self.shared.domains.len()
-    }
-
-    /// Names in the resource registry.
-    pub fn resources(&self) -> Vec<Urn> {
-        self.shared.registry.list()
-    }
-
-    /// The monitor's audit-log length (X12 instrumentation) — an O(1)
-    /// counter read; the old implementation cloned the whole log to count
-    /// it.
-    pub fn audit_len(&self) -> usize {
-        self.shared.monitor.audit_len()
+        self.view.shared.domains.len()
     }
 
     /// Scheduler queue depths as seen from this server's pool: tasks
@@ -1548,88 +1430,31 @@ impl ServerHandle {
     /// (ready but cold — holding only their VM image, no stack). With a
     /// world-shared pool the depths span every server on it.
     pub fn sched_depths(&self) -> SchedDepths {
-        self.shared.sched.depths()
+        self.view.shared.sched.depths()
     }
 
     /// The worker pool this server's agents execute on.
     pub fn scheduler(&self) -> &Arc<Scheduler> {
-        &self.shared.sched
+        &self.view.shared.sched
     }
 
     /// Number of agents currently hibernated (resident but spilled to
     /// the bundle store, holding no interpreter or scheduler task).
     pub fn hibernated_agents(&self) -> usize {
-        self.shared.bundles.len()
+        self.view.shared.bundles.len()
     }
 
-    /// Total encoded bytes the hibernated agents occupy — the entire
-    /// per-agent footprint while asleep, versus a warm agent's live
-    /// interpreter ([`ajanta_vm::Interpreter`] memory) plus environment.
-    pub fn hibernated_bytes(&self) -> usize {
-        self.shared.bundles.stored_bytes()
-    }
-
-    /// Explicitly wakes a hibernated agent (the tour-resume wake path;
-    /// mail arrival wakes implicitly). Returns whether a bundle was
-    /// found and revived.
-    pub fn wake(&self, agent: &Urn) -> bool {
-        self.shared.wake_agent(agent)
-    }
-
-    /// Asks a resident agent to hibernate at its next safe yield point
-    /// (see [`Shared::request_hibernate`]).
-    pub fn hibernate(&self, agent: &Urn) -> bool {
-        self.shared.request_hibernate(agent)
-    }
-
-    /// Revokes every live proxy this server issued for `resource` (see
-    /// [`Shared::revoke_resource`]). Returns the live proxies
-    /// invalidated.
-    pub fn revoke_resource(&self, resource: &Urn) -> usize {
-        self.shared.revoke_resource(resource)
-    }
-
-    /// Domain-database records of every resident agent (including
-    /// hibernated ones — their domains survive the spill).
-    pub fn agent_records(&self) -> Vec<ajanta_core::AgentRecord> {
-        self.shared.domains.iter().collect()
-    }
-
-    /// Names of the agents currently hibernated in the bundle store.
-    pub fn hibernated_list(&self) -> Vec<Urn> {
-        self.shared.bundles.list()
-    }
-
-    /// `(agent, hop)` pairs whose custody is still in flight: reliable
-    /// frames carrying a WAL admission that has not been resolved by an
-    /// ack yet.
-    pub fn in_flight_agents(&self) -> Vec<(Urn, u64)> {
-        let mut v: Vec<(Urn, u64)> = self
-            .shared
-            .pending_sends
-            .lock()
-            .values()
-            .filter_map(|p| p.custody.clone())
-            .collect();
-        v.sort();
-        v.dedup();
-        v
-    }
-
-    /// A cheap, cloneable view of this server for the control plane —
-    /// everything `runtime::control` serves, without owning the server's
-    /// lifecycle.
+    /// A cheap, cloneable copy of this server's view for the control
+    /// plane — everything `runtime::control` serves, without owning the
+    /// server's lifecycle.
     pub fn control_view(&self) -> ControlView {
-        ControlView {
-            name: self.name.clone(),
-            shared: Arc::clone(&self.shared),
-        }
+        self.view.clone()
     }
 
     /// Delivers local mail from the control plane (tests, tools) as if a
     /// co-located agent had sent it.
     pub fn deliver_mail(&self, from: Urn, to: Urn, data: Vec<u8>) -> bool {
-        self.shared.local_mail(from, to, data)
+        self.view.shared.local_mail(from, to, data)
     }
 
     /// Stops the server loop and joins all threads. A privately owned
@@ -1640,53 +1465,37 @@ impl ServerHandle {
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
-        self.shared.retry_shutdown.store(true, Ordering::Release);
-        self.shared.retry_cv.notify_all();
+        let shared = &self.view.shared;
+        shared.retry_shutdown.store(true, Ordering::Release);
+        shared.retry_cv.notify_all();
         if let Some(join) = self.retry_join.take() {
             let _ = join.join();
         }
         if self.owns_sched {
-            self.shared.sched.stop();
+            shared.sched.stop();
         }
     }
 }
 
-/// The `n` most recent [`Event::AgentLog`] lines in `journal`, oldest
-/// first.
-fn logs_tail_of(journal: &Journal, n: usize) -> Vec<(Urn, String)> {
-    let mut lines: Vec<(Urn, String)> = journal
-        .snapshot()
-        .into_iter()
-        .filter_map(|r| match r.event {
-            Event::AgentLog { agent, text } => Some((agent, text)),
-            _ => None,
-        })
-        .collect();
-    if n < lines.len() {
-        lines.drain(..lines.len() - n);
-    }
-    lines
-}
-
-/// A cheap, cloneable, read-mostly view of one server for the control
-/// plane: everything `runtime::control` serves — agent inventory,
-/// telemetry, journal pages, logs, trace export, hibernate/wake, and
-/// proxy revocation — without owning the server's lifecycle (no
-/// shutdown, no join handles). Obtained from
-/// [`ServerHandle::control_view`].
+/// A cheap, cloneable, read-mostly view of one server: agent inventory,
+/// telemetry, journal, logs, trace export, hibernate/wake, and proxy
+/// revocation — everything `runtime::control` serves — without owning
+/// the server's lifecycle (no shutdown, no join handles). A
+/// [`ServerHandle`] dereferences to its server's view; the control plane
+/// holds clones from [`ServerHandle::control_view`].
 #[derive(Clone)]
 pub struct ControlView {
-    name: Urn,
     shared: Arc<Shared>,
 }
 
 impl ControlView {
     /// The server's name.
     pub fn name(&self) -> &Urn {
-        &self.name
+        &self.shared.name
     }
 
-    /// The server's telemetry journal.
+    /// The server's telemetry journal: typed events, aggregate counters,
+    /// and the Prometheus-style snapshot.
     pub fn journal(&self) -> Arc<Journal> {
         Arc::clone(&self.shared.journal)
     }
@@ -1697,7 +1506,8 @@ impl ControlView {
         self.shared.journal.telemetry_snapshot()
     }
 
-    /// Domain-database records of every resident agent.
+    /// Domain-database records of every resident agent (including
+    /// hibernated ones — their domains survive the spill).
     pub fn agent_records(&self) -> Vec<ajanta_core::AgentRecord> {
         self.shared.domains.iter().collect()
     }
@@ -1717,8 +1527,9 @@ impl ControlView {
         self.shared.is_hibernated(agent)
     }
 
-    /// `(agent, hop)` pairs whose custody is still in flight (unacked
-    /// reliable frames carrying a WAL admission).
+    /// `(agent, hop)` pairs whose custody is still in flight: reliable
+    /// frames carrying a WAL admission that has not been resolved by an
+    /// ack yet.
     pub fn in_flight_agents(&self) -> Vec<(Urn, u64)> {
         let mut v: Vec<(Urn, u64)> = self
             .shared
@@ -1732,12 +1543,30 @@ impl ControlView {
         v
     }
 
-    /// The `n` most recent per-agent log lines, oldest first.
+    /// The `n` most recent per-agent log lines, oldest first — a filtered
+    /// view of the journal's [`Event::AgentLog`] records, bounded by the
+    /// journal capacity (the exact lifetime count is the journal's
+    /// `LogLines` counter).
     pub fn logs_tail(&self, n: usize) -> Vec<(Urn, String)> {
-        logs_tail_of(&self.shared.journal, n)
+        let mut lines: Vec<(Urn, String)> = self
+            .shared
+            .journal
+            .snapshot()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                Event::AgentLog { agent, text } => Some((agent, text)),
+                _ => None,
+            })
+            .collect();
+        if n < lines.len() {
+            lines.drain(..lines.len() - n);
+        }
+        lines
     }
 
-    /// Bytes the hibernated bundles currently occupy.
+    /// Total encoded bytes the hibernated agents occupy — the entire
+    /// per-agent footprint while asleep, versus a warm agent's live
+    /// interpreter ([`ajanta_vm::Interpreter`] memory) plus environment.
     pub fn hibernated_bytes(&self) -> usize {
         self.shared.bundles.stored_bytes()
     }
@@ -1747,29 +1576,41 @@ impl ControlView {
         self.shared.registry.list()
     }
 
-    /// Reliable sends still awaiting an ack.
+    /// Number of reliable sends still awaiting an ack (or their
+    /// dead-stop). A trace export is only guaranteed orphan-free once
+    /// every server reports zero here: the Transfer span for a leg is
+    /// journaled when the leg *resolves*, so exporting mid-flight can
+    /// miss parents of already-journaled Retry and Admission spans.
     pub fn pending_send_count(&self) -> usize {
         self.shared.pending_sends.lock().len()
     }
 
-    /// Trace-relevant journal records as JSONL (see
-    /// [`ServerHandle::export_jsonl`]).
+    /// Exports this server's trace-relevant journal records as JSONL for
+    /// offline merging (`ajanta_core::trace::parse_jsonl`,
+    /// `ajantactl trace`).
     pub fn export_jsonl(&self) -> String {
-        ajanta_core::trace::export_journal(&self.name.to_string(), &self.shared.journal.snapshot())
+        ajanta_core::trace::export_journal(
+            &self.shared.name.to_string(),
+            &self.shared.journal.snapshot(),
+        )
     }
 
-    /// Asks a resident agent to hibernate at its next safe yield point.
+    /// Asks a resident agent to hibernate at its next safe yield point
+    /// (see [`Shared::request_hibernate`]).
     pub fn hibernate(&self, agent: &Urn) -> bool {
         self.shared.request_hibernate(agent)
     }
 
-    /// Wakes a hibernated agent. Returns whether a bundle was revived.
+    /// Explicitly wakes a hibernated agent (the tour-resume wake path;
+    /// mail arrival wakes implicitly). Returns whether a bundle was
+    /// found and revived.
     pub fn wake(&self, agent: &Urn) -> bool {
         self.shared.wake_agent(agent)
     }
 
-    /// Revokes every live proxy this server issued for `resource`;
-    /// returns how many were invalidated.
+    /// Revokes every live proxy this server issued for `resource` (see
+    /// [`Shared::revoke_resource`]). Returns the live proxies
+    /// invalidated.
     pub fn revoke_resource(&self, resource: &Urn) -> usize {
         self.shared.revoke_resource(resource)
     }
@@ -1779,22 +1620,12 @@ impl ControlView {
 pub struct AgentServer;
 
 impl AgentServer {
-    /// Starts a server thread attached to the simulated network and
-    /// returns its handle. Convenience wrapper over [`Self::spawn_on`]
-    /// for the single-process worlds every experiment started from.
-    ///
-    /// # Panics
-    /// Panics if the server name is already attached to the network.
-    pub fn spawn(net: &SimNet, config: ServerConfig) -> ServerHandle {
-        Self::spawn_on(Arc::new(net.clone()), config)
-    }
-
     /// Starts a server thread attached to any [`Transport`] — the
     /// simulation or a real socket transport — and returns its handle.
     ///
     /// # Panics
     /// Panics if the server name is already attached to the transport.
-    pub fn spawn_on(net: Arc<dyn Transport>, config: ServerConfig) -> ServerHandle {
+    pub fn spawn(net: Arc<dyn Transport>, config: ServerConfig) -> ServerHandle {
         let endpoint = net
             .attach(config.name.clone())
             .expect("server name already attached");
@@ -1844,7 +1675,6 @@ impl AgentServer {
         let shared = Arc::new(Shared {
             name: config.name.clone(),
             identity: config.identity,
-            keys: config.keys,
             roots: config.roots,
             directory: config.directory,
             net: Arc::clone(&net),
@@ -1861,8 +1691,7 @@ impl AgentServer {
             reports: Mutex::new(Vec::new()),
             reports_cv: Condvar::new(),
             rng: Mutex::new(DetRng::new(config.seed)),
-            guard: Mutex::new(ReplayGuard::new(config.replay_window_ns)),
-            stats: ServerStats::default(),
+            guard: Mutex::new(ReplayGuard::new(REPLAY_WINDOW_NS)),
             pending_queries: Mutex::new(BTreeMap::new()),
             next_query_id: AtomicU64::new(1),
             retry: config.retry,
@@ -1923,8 +1752,7 @@ impl AgentServer {
         };
 
         ServerHandle {
-            name: config.name,
-            shared,
+            view: ControlView { shared },
             ctrl: ctrl_tx,
             join: Some(join),
             retry_join,
@@ -1989,7 +1817,6 @@ fn server_loop(
         crossbeam::channel::select! {
             recv(ctrl) -> cmd => match cmd {
                 Ok(Control::Launch { dest, credentials, image, fallbacks }) => {
-                    shared.stats.transfers_out.fetch_add(1, Ordering::Relaxed);
                     shared.journal.append(Event::AgentDispatched {
                         agent: credentials.agent.clone(),
                         dest: dest.clone(),
@@ -2093,7 +1920,7 @@ fn handle_delivery(
         let mut guard = shared.guard.lock();
         datagram.open(
             &shared.identity,
-            &shared.keys,
+            &shared.identity.keys,
             &shared.roots,
             now,
             &mut guard,
@@ -2438,7 +2265,6 @@ fn handle_transfer(
         return; // unreachable with the default policy; defensive.
     }
 
-    shared.stats.agents_hosted.fetch_add(1, Ordering::Relaxed);
     batch.push(Box::new(AgentTask {
         shared: Arc::clone(shared),
         domain,
@@ -2723,7 +2549,6 @@ impl AgentTask {
                                 custody(),
                             );
                         } else {
-                            shared.stats.transfers_out.fetch_add(1, Ordering::Relaxed);
                             shared.journal.append(Event::AgentDispatched {
                                 agent: run_as.clone(),
                                 dest: go.dest.clone(),

@@ -183,54 +183,36 @@ impl WorldBuilder {
 
     /// Builds and starts the world.
     pub fn build(self) -> World {
-        let mut rng = DetRng::new(self.seed);
-        // The net seed is always the first draw, whatever the transport
-        // mode, so identities (and everything minted after build) are
-        // identical across modes for the same world seed — the loopback
-        // equivalence tests rely on this.
-        let net_seed = rng.next_u64();
-        let ca = KeyPair::generate(&mut rng);
-        let mut roots = RootOfTrust::new();
-        roots.trust("ca.world", ca.public);
-        let directory = Directory::new();
+        let names: Vec<Urn> = (0..self.servers)
+            .map(|i| {
+                Urn::server(format!("site{i}.org"), ["s".to_string()])
+                    .expect("generated name is canonical")
+            })
+            .collect();
+        let Minted {
+            net_seed,
+            roots,
+            directory,
+            servers: identities,
+            authority,
+        } = mint(self.seed, &names);
         let sched = Scheduler::new(self.workers);
 
-        let mut configs = Vec::with_capacity(self.servers);
-        let mut serial = 1;
-        for i in 0..self.servers {
-            let name = Urn::server(format!("site{i}.org"), ["s".to_string()])
-                .expect("generated name is canonical");
-            let keys = KeyPair::generate(&mut rng);
-            let cert = Certificate::issue(
-                name.to_string(),
-                keys.public,
-                "ca.world",
-                &ca,
-                u64::MAX,
-                serial,
-                &mut rng,
-            );
-            serial += 1;
-            directory.publish(name.clone(), cert.clone());
-            let identity = ChannelIdentity {
-                name: name.clone(),
-                keys: keys.clone(),
-                chain: vec![cert],
-            };
-            configs.push(ServerConfig {
-                name: name.clone(),
+        let configs: Vec<ServerConfig> = identities
+            .into_iter()
+            .enumerate()
+            .map(|(i, (identity, seed))| ServerConfig {
+                name: identity.name.clone(),
+                policy: (self.policy_fn)(i, &identity.name),
                 identity,
-                keys,
                 roots: roots.clone(),
                 directory: directory.clone(),
-                policy: (self.policy_fn)(i, &name),
                 system_modules: self.system_modules.clone(),
                 agent_limits: self.agent_limits,
                 vm_limits: self.vm_limits,
                 agents_may_dispatch: self.agents_may_dispatch,
-                replay_window_ns: u64::MAX / 4,
                 retry: self.retry.clone(),
-                seed: rng.next_u64(),
+                seed,
                 journal_capacity: self.journal_capacity,
                 scheduler: Some(Arc::clone(&sched)),
                 wal: self
@@ -238,17 +220,17 @@ impl WorldBuilder {
                     .as_ref()
                     .map(|d| d.join(format!("site{i}.wal"))),
                 hibernate_after_misses: self.hibernate_after_misses,
-            });
-        }
+            })
+            .collect();
 
         let mut servers = Vec::with_capacity(self.servers);
         let transports: Vec<Arc<dyn Transport>> = match self.transport {
             TransportMode::Sim => {
-                let net = SimNet::new(self.link, net_seed);
+                let net: Arc<dyn Transport> = Arc::new(SimNet::new(self.link, net_seed));
                 for config in configs {
-                    servers.push(AgentServer::spawn(&net, config));
+                    servers.push(AgentServer::spawn(Arc::clone(&net), config));
                 }
-                vec![Arc::new(net)]
+                vec![net]
             }
             mode @ (TransportMode::Tcp | TransportMode::Uds) => {
                 // One transport (listener) per server. Socket seeds are
@@ -284,7 +266,7 @@ impl WorldBuilder {
                 }
                 for (config, t) in configs.into_iter().zip(&transports) {
                     let net: Arc<dyn Transport> = Arc::clone(t) as Arc<dyn Transport>;
-                    servers.push(AgentServer::spawn_on(net, config));
+                    servers.push(AgentServer::spawn(net, config));
                 }
                 transports
                     .into_iter()
@@ -297,13 +279,99 @@ impl WorldBuilder {
             net: Arc::clone(&transports[0]),
             directory,
             roots,
-            ca,
+            authority,
             servers,
             transports,
             sched,
-            rng,
-            owner_serial: serial,
         }
+    }
+}
+
+/// A certificate authority issuing CA-certified key pairs off one
+/// deterministic RNG stream.
+pub(crate) struct Authority {
+    ca: KeyPair,
+    rng: DetRng,
+    /// Serial of the last certificate issued.
+    serial: u64,
+}
+
+impl Authority {
+    /// A fresh key pair for `name` and its CA-issued certificate.
+    fn certify(&mut self, name: &Urn) -> (KeyPair, Certificate) {
+        let keys = KeyPair::generate(&mut self.rng);
+        self.serial += 1;
+        let cert = Certificate::issue(
+            name.to_string(),
+            keys.public,
+            "ca.world",
+            &self.ca,
+            u64::MAX,
+            self.serial,
+            &mut self.rng,
+        );
+        (keys, cert)
+    }
+
+    /// Mints the owner `users.org/owner/<tag>` with a CA-issued
+    /// certificate.
+    pub(crate) fn owner(&mut self, tag: &str) -> Owner {
+        let name = Urn::owner("users.org", [tag]).expect("canonical owner tag");
+        let (keys, cert) = self.certify(&name);
+        Owner::new(name, keys, vec![cert], self.rng.next_u64())
+    }
+}
+
+/// A world's identities, minted from one seed.
+pub(crate) struct Minted {
+    /// The first draw; seeds the network.
+    pub(crate) net_seed: u64,
+    /// Trust roots naming the CA.
+    pub(crate) roots: RootOfTrust,
+    /// A directory publishing every server's certificate.
+    pub(crate) directory: Directory,
+    /// Each server's certified identity and config seed, in name order.
+    pub(crate) servers: Vec<(ChannelIdentity, u64)>,
+    /// The CA, positioned to mint owners after the servers.
+    pub(crate) authority: Authority,
+}
+
+/// Mints a world's identities from `seed`: the network seed, the CA,
+/// then for each name its key pair, certificate and config seed, in that
+/// draw order. [`WorldBuilder::build`] and
+/// [`derive_world`](crate::multiproc::derive_world) both mint here, so
+/// one seed yields the same CA and server keys in one process or many.
+pub(crate) fn mint(seed: u64, names: &[Urn]) -> Minted {
+    let mut rng = DetRng::new(seed);
+    // The net seed is always the first draw, whatever the transport
+    // mode, so identities (and everything minted after build) are
+    // identical across modes for the same world seed — the loopback
+    // equivalence tests rely on this.
+    let net_seed = rng.next_u64();
+    let ca = KeyPair::generate(&mut rng);
+    let mut roots = RootOfTrust::new();
+    roots.trust("ca.world", ca.public);
+    let mut authority = Authority { ca, rng, serial: 0 };
+    let directory = Directory::new();
+    let servers = names
+        .iter()
+        .map(|name| {
+            let (keys, cert) = authority.certify(name);
+            directory.publish(name.clone(), cert.clone());
+            let identity = ChannelIdentity {
+                name: name.clone(),
+                keys,
+                chain: vec![cert],
+            };
+            (identity, authority.rng.next_u64())
+        })
+        .collect();
+    Minted {
+        net_seed,
+        roots,
+        directory,
+        servers,
+        authority,
     }
 }
 
@@ -335,7 +403,8 @@ pub struct World {
     pub directory: Directory,
     /// The trust roots every party uses.
     pub roots: RootOfTrust,
-    ca: KeyPair,
+    /// Issues owner and rogue identities after the servers'.
+    authority: Authority,
     /// The running servers, in creation order.
     pub servers: Vec<ServerHandle>,
     /// Every transport backing the world, in server order (one element
@@ -343,8 +412,6 @@ pub struct World {
     transports: Vec<Arc<dyn Transport>>,
     /// The shared scheduler every server's agents execute on.
     sched: std::sync::Arc<Scheduler>,
-    rng: DetRng,
-    owner_serial: u64,
 }
 
 impl World {
@@ -372,41 +439,19 @@ impl World {
 
     /// Mints an owner with a CA-issued certificate.
     pub fn owner(&mut self, tag: &str) -> Owner {
-        let name = Urn::owner("users.org", [tag]).expect("canonical owner tag");
-        let keys = KeyPair::generate(&mut self.rng);
-        self.owner_serial += 1;
-        let cert = Certificate::issue(
-            name.to_string(),
-            keys.public,
-            "ca.world",
-            &self.ca,
-            u64::MAX,
-            self.owner_serial,
-            &mut self.rng,
-        );
-        Owner::new(name, keys, vec![cert], self.rng.next_u64())
+        self.authority.owner(tag)
     }
 
     /// Mints a CA-certified *server* identity that is published in the
     /// directory but runs no server loop — a rogue-but-certified peer for
     /// attack tests (it can seal datagrams other servers will
     /// authenticate, then misbehave at the protocol layer).
-    pub fn certified_rogue(&mut self, tag: &str) -> (ajanta_net::secure::ChannelIdentity, KeyPair) {
+    pub fn certified_rogue(&mut self, tag: &str) -> (ChannelIdentity, KeyPair) {
         let name = Urn::server("rogue.org", [tag]).expect("canonical rogue tag");
-        let keys = KeyPair::generate(&mut self.rng);
-        self.owner_serial += 1;
-        let cert = Certificate::issue(
-            name.to_string(),
-            keys.public,
-            "ca.world",
-            &self.ca,
-            u64::MAX,
-            self.owner_serial,
-            &mut self.rng,
-        );
+        let (keys, cert) = self.authority.certify(&name);
         self.directory.publish(name.clone(), cert.clone());
         (
-            ajanta_net::secure::ChannelIdentity {
+            ChannelIdentity {
                 name,
                 keys: keys.clone(),
                 chain: vec![cert],
@@ -417,7 +462,7 @@ impl World {
 
     /// Merges every server's trace-relevant journal records into one
     /// JSONL document — the input `ajanta_core::trace::parse_jsonl` (and
-    /// the `tracectl` example) reconstructs causal trace trees from.
+    /// `ajantactl trace`) reconstructs causal trace trees from.
     pub fn export_traces(&self) -> String {
         let mut out = String::new();
         for server in &self.servers {
@@ -495,6 +540,29 @@ mod tests {
             .collect();
         assert_eq!(keys.len(), 3);
         world.shutdown();
+    }
+
+    /// The in-process builder and the multi-process derivation mint
+    /// through one function: the same seed gives the same CA and the
+    /// same server keys.
+    #[test]
+    fn builder_and_derive_world_agree_on_keys() {
+        for seed in [1, 7, 0xDEAD] {
+            let world = World::builder(3).seed(seed).build();
+            let derived = crate::multiproc::derive_world(seed, 3);
+            assert_eq!(
+                world.roots.key_of("ca.world"),
+                derived.roots.key_of("ca.world"),
+                "seed {seed}: CA"
+            );
+            for (i, identity) in derived.identities.iter().enumerate() {
+                let key = world
+                    .directory
+                    .verified_key(world.server(i).name(), &world.roots, 0);
+                assert_eq!(key, Some(identity.keys.public), "seed {seed}: server {i}");
+            }
+            world.shutdown();
+        }
     }
 
     #[test]

@@ -12,11 +12,30 @@ use ajanta_core::{
 use ajanta_naming::Urn;
 use ajanta_net::Tamperer;
 use ajanta_runtime::itinerary::Itinerary;
-use ajanta_runtime::{RejectKind, ReportStatus, World};
+use ajanta_runtime::{Counter, Event, RejectKind, ReportStatus, World};
 use ajanta_vm::{assemble, AgentImage, Limits, Value};
 use ajanta_wire::Wire;
 
 const WAIT: Duration = Duration::from_secs(10);
+
+/// The kinds of the rejections server `i` journaled.
+fn rejections(world: &World, i: usize) -> Vec<RejectKind> {
+    world
+        .server(i)
+        .journal()
+        .snapshot()
+        .into_iter()
+        .filter_map(|r| match r.event {
+            Event::Rejected { kind, .. } => Some(kind),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Agents server `i` admitted over its lifetime.
+fn admitted(world: &World, i: usize) -> u64 {
+    world.server(i).journal().counter(Counter::AgentsAdmitted)
+}
 
 /// Builds an image from assembly source and initial globals.
 fn image(src: &str, globals: Vec<Value>, entry: &str) -> AgentImage {
@@ -67,14 +86,14 @@ fn launch_execute_report() {
     assert_eq!(reports[0].status, ReportStatus::Completed("7".into()));
 
     // The greeting was logged at server 1 under the agent's name.
-    let logs = world.server(1).logs();
+    let logs = world.server(1).logs_tail(usize::MAX);
     assert_eq!(logs.len(), 1);
     assert_eq!(logs[0].0, agent);
     assert!(logs[0].1.starts_with("hello from ajn://site1.org"));
 
     // The visiting agent has departed; no residue.
     assert_eq!(world.server(1).resident_agents(), 0);
-    assert_eq!(world.server(1).stats().agents_hosted, 1);
+    assert_eq!(admitted(&world, 1), 1);
     world.shutdown();
 }
 
@@ -148,7 +167,7 @@ fn itinerary_tour_visits_every_server() {
 
     // Each stop logged exactly once, in order of the tour.
     for i in [1usize, 2, 3] {
-        let logs = world.server(i).logs();
+        let logs = world.server(i).logs_tail(usize::MAX);
         assert_eq!(logs.len(), 1, "server {i} should have one log line");
     }
     world.shutdown();
@@ -496,9 +515,9 @@ fn impostor_system_module_refused() {
 
     let reports = world.server(0).wait_reports(1, WAIT);
     assert!(matches!(reports[0].status, ReportStatus::Refused(_)));
-    let events = world.server(1).security_events();
-    assert!(events.iter().any(|e| e.kind == RejectKind::ImpostorModule));
-    assert_eq!(world.server(1).stats().agents_hosted, 0);
+    let events = rejections(&world, 1);
+    assert!(events.contains(&RejectKind::ImpostorModule));
+    assert_eq!(admitted(&world, 1), 0);
     world.shutdown();
 }
 
@@ -522,15 +541,15 @@ fn tampered_transfers_are_rejected() {
 
     // Give the network a moment; then: no agent hosted, tampering logged.
     let deadline = std::time::Instant::now() + WAIT;
-    while world.server(1).security_events().is_empty() && std::time::Instant::now() < deadline {
+    while rejections(&world, 1).is_empty() && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    let events = world.server(1).security_events();
+    let events = rejections(&world, 1);
     assert!(
-        events.iter().any(|e| e.kind == RejectKind::BadDatagram),
+        events.contains(&RejectKind::BadDatagram),
         "expected tamper detection, got {events:?}"
     );
-    assert_eq!(world.server(1).stats().agents_hosted, 0);
+    assert_eq!(admitted(&world, 1), 0);
     world.shutdown();
 }
 
@@ -551,12 +570,12 @@ fn expired_credentials_refused() {
     );
 
     let deadline = std::time::Instant::now() + WAIT;
-    while world.server(1).security_events().is_empty() && std::time::Instant::now() < deadline {
+    while rejections(&world, 1).is_empty() && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    let events = world.server(1).security_events();
-    assert!(events.iter().any(|e| e.kind == RejectKind::BadCredentials));
-    assert_eq!(world.server(1).stats().agents_hosted, 0);
+    let events = rejections(&world, 1);
+    assert!(events.contains(&RejectKind::BadCredentials));
+    assert_eq!(admitted(&world, 1), 0);
     world.shutdown();
 }
 
@@ -695,6 +714,8 @@ fn colocated_agents_exchange_mail() {
         statuses.contains(&&ReportStatus::Completed("10".into())),
         "{statuses:?}"
     );
+    let delivered = |i: usize| world.server(i).journal().counter(Counter::MailDelivered);
+    assert_eq!((delivered(0), delivered(1)), (0, 1));
     world.shutdown();
 }
 
@@ -927,15 +948,15 @@ fn forged_child_identity_outside_subtree_is_rejected() {
     endpoint.send(&dest, dg.to_bytes()).unwrap();
 
     let deadline = std::time::Instant::now() + WAIT;
-    while world.server(1).security_events().is_empty() && std::time::Instant::now() < deadline {
+    while rejections(&world, 1).is_empty() && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    let events = world.server(1).security_events();
+    let events = rejections(&world, 1);
     assert!(
-        events.iter().any(|e| e.kind == RejectKind::BadIdentity),
+        events.contains(&RejectKind::BadIdentity),
         "expected bad-identity, got {events:?}"
     );
     // The forged agent never ran.
-    assert_eq!(world.server(1).stats().agents_hosted, 0);
+    assert_eq!(admitted(&world, 1), 0);
     world.shutdown();
 }

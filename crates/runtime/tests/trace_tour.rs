@@ -184,7 +184,7 @@ fn lossy_tour_reconstructs_complete_trace_trees() {
     }
 
     // Reconstruct: merge every server's JSONL export and build the
-    // forest, exactly as `tracectl` would offline.
+    // forest, exactly as `ajantactl trace` would offline.
     let jsonl = world.export_traces();
     let records = ajanta_core::trace::parse_jsonl(&jsonl).expect("exported JSONL parses");
     let forest = TraceForest::build(records);

@@ -13,12 +13,26 @@ use std::time::Duration;
 use ajanta::core::{BoundedBuffer, Guarded, ProxyPolicy, Rights};
 use ajanta::naming::Urn;
 use ajanta::net::{Eavesdropper, Tamperer};
-use ajanta::runtime::{ReportStatus, World};
+use ajanta::runtime::{Event, RejectKind, ReportStatus, World};
 use ajanta::vm::{assemble, AgentImage, ModuleBuilder, Op, Ty, Value};
+
+/// The rejections `server` journaled, oldest first.
+fn rejections(world: &World, server: usize) -> Vec<(RejectKind, String)> {
+    world
+        .server(server)
+        .journal()
+        .snapshot()
+        .into_iter()
+        .filter_map(|r| match r.event {
+            Event::Rejected { kind, detail } => Some((kind, detail)),
+            _ => None,
+        })
+        .collect()
+}
 
 fn wait_events(world: &World, server: usize, n: usize) {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while world.server(server).security_events().len() < n && std::time::Instant::now() < deadline {
+    while rejections(world, server).len() < n && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
 }
@@ -56,11 +70,8 @@ fn main() {
         };
         world.server(0).launch(dest.clone(), creds, image);
         wait_events(&world, 1, 1);
-        let events = world.server(1).security_events();
-        println!(
-            "  server 1 events: {:?}\n",
-            events.last().map(|e| (e.kind, &e.detail))
-        );
+        let events = rejections(&world, 1);
+        println!("  server 1 events: {:?}\n", events.last());
     }
 
     println!("=== attack 2: unverifiable byte-code ===");
@@ -143,14 +154,11 @@ fn main() {
             module: assemble("module ok\nfunc run(arg: bytes) -> int\n  push 1\n  ret").unwrap(),
             entry: "run".into(),
         };
-        let before = world.server(1).security_events().len();
+        let before = rejections(&world, 1).len();
         world.server(0).launch(dest.clone(), creds, image);
         wait_events(&world, 1, before + 1);
-        let events = world.server(1).security_events();
-        println!(
-            "  server 1 events: {:?}\n",
-            events.last().map(|e| (e.kind, &e.detail))
-        );
+        let events = rejections(&world, 1);
+        println!("  server 1 events: {:?}\n", events.last());
         world.net.set_adversary(None);
     }
 

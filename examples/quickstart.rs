@@ -102,7 +102,7 @@ fn main() {
     let reports = world.server(0).wait_reports(1, Duration::from_secs(10));
     println!("\nreport: {:?}", reports[0].status);
     println!("server 1 log:");
-    for (agent, line) in world.server(1).logs() {
+    for (agent, line) in world.server(1).logs_tail(usize::MAX) {
         println!("  [{}] {}", agent.leaf(), line);
     }
     println!("\nbuffer size observed server-side: {}", buffer.size());

@@ -15,10 +15,16 @@ run() {
     "$@"
 }
 
+# The root manifest's default-members cover the facade and every crate
+# under crates/, so build, test and clippy here span the whole system.
 run cargo fmt --all --check
 run cargo build --release $OFFLINE
 run cargo test -q $OFFLINE
 run cargo clippy --all-targets $OFFLINE -- -D warnings
+
+# The outside-in benchmark (perfbench/, its own workspace) must still
+# build against the crates' public API without re-resolving its lock.
+run cargo test -q $OFFLINE --locked --manifest-path perfbench/Cargo.toml
 
 # Cross-process smoke: three ajantad server processes over Unix-domain
 # sockets, a 32-agent tour at 20% injected loss, bounded by --timeout.
@@ -39,8 +45,8 @@ run ./target/release/ajantad --smoke --kill 1 --timeout 240
 
 # Optional bench smokes (set CHECK_BENCH=1), each with a JSON summary
 # CI uploads as an artifact: X16 quick — 10k resident agents at reduced
-# iterations — X18 quick — the coalesced-vs-baseline wire burst — and
-# X19 quick — the hibernate/wake cycle and WAL replay throughput.
+# iterations — X18 quick — the coalesced wire burst — and X19 quick —
+# the hibernate/wake cycle and WAL replay throughput.
 if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
     echo "+ X16_JSON=target/bench-artifacts/x16_sched.json cargo run --release $OFFLINE -p ajanta-bench --bin report -- x16 quick"
     X16_JSON=target/bench-artifacts/x16_sched.json \
