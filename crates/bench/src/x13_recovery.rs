@@ -1,15 +1,13 @@
 //! X13f — fault-tolerant migration under injected frame loss.
 //!
 //! A fleet of touring agents crosses a link that drops each frame with
-//! probability `p`, with the reliable-transfer layer on or off. Measured:
-//! how many agents' fates *resolve* at the home server (a completion or
-//! a `Failed(hop)` recovery report) versus strand silently, plus the
-//! recovery machinery's own counters — retries, skipped hops, recovered
-//! agents — straight from the typed journals.
+//! probability `p`. Measured: how many agents' fates *resolve* at the
+//! home server (a completion or a `Failed(hop)` recovery report), plus
+//! the recovery machinery's own counters — retries, skipped hops,
+//! recovered agents — straight from the typed journals.
 //!
-//! The headline: with retries off, loss strands agents in proportion to
-//! `1 - (1-p)^legs`; with retries on, resolution stays at 100% while the
-//! retry counters absorb the loss.
+//! The headline: resolution stays at 100% while the retry counters
+//! absorb the loss.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -20,13 +18,11 @@ use ajanta_runtime::itinerary::Itinerary;
 use ajanta_runtime::{Counter, ReportStatus, RetryPolicy, World};
 use ajanta_workloads::payload_agent;
 
-/// One (drop probability × retry mode) trial.
+/// One drop-probability trial.
 #[derive(Debug, Clone)]
 pub struct RecoveryRow {
     /// Per-frame drop probability.
     pub drop_prob: f64,
-    /// Whether the reliable-transfer layer was active.
-    pub retries: bool,
     /// Agents launched on the tour.
     pub launched: u64,
     /// Agents whose fate resolved at home (any report at all).
@@ -48,19 +44,14 @@ pub struct RecoveryRow {
 }
 
 /// Runs one trial: `agents` agents over a `stops`-stop tour at `drop_prob`.
-fn trial(agents: usize, stops: usize, drop_prob: f64, retries: bool, seed: u64) -> RecoveryRow {
-    let builder = World::builder(stops + 1).journal_capacity(1 << 16);
-    let mut world = if retries {
-        builder
-            .retry(RetryPolicy {
-                max_attempts: 12,
-                ack_grace: Duration::from_millis(10),
-                ..RetryPolicy::default()
-            })
-            .build()
-    } else {
-        builder.no_retry().build()
-    };
+fn trial(agents: usize, stops: usize, drop_prob: f64, seed: u64) -> RecoveryRow {
+    let mut world = World::builder(stops + 1)
+        .journal_capacity(1 << 16)
+        .retry(RetryPolicy {
+            max_attempts: 12,
+            ack_grace: Duration::from_millis(10),
+        })
+        .build();
     let fault = Arc::new(LinkFault::new(seed, drop_prob));
     world.net.set_adversary(Some(fault.clone()));
 
@@ -77,14 +68,8 @@ fn trial(agents: usize, stops: usize, drop_prob: f64, retries: bool, seed: u64) 
             .launch_tour(&tour, creds, payload_agent(64, &carried));
     }
 
-    // With retries every fate resolves, so wait for all agents; without,
-    // stranded agents never report — bound the wait instead.
-    let deadline = Instant::now()
-        + if retries && drop_prob > 0.0 {
-            Duration::from_secs(120)
-        } else {
-            Duration::from_secs(3)
-        };
+    // Every fate resolves, so wait for all agents.
+    let deadline = Instant::now() + Duration::from_secs(120);
     let mut reports;
     loop {
         reports = world
@@ -112,7 +97,6 @@ fn trial(agents: usize, stops: usize, drop_prob: f64, retries: bool, seed: u64) 
     let sum = |c: Counter| -> u64 { world.servers.iter().map(|s| s.journal().counter(c)).sum() };
     let row = RecoveryRow {
         drop_prob,
-        retries,
         launched: agents as u64,
         resolved: seen.len() as u64,
         completed,
@@ -127,15 +111,13 @@ fn trial(agents: usize, stops: usize, drop_prob: f64, retries: bool, seed: u64) 
     row
 }
 
-/// Sweeps drop probabilities, with the recovery layer off then on.
+/// Sweeps drop probabilities.
 pub fn run(agents: usize, stops: usize, drop_probs: &[f64]) -> Vec<RecoveryRow> {
-    let mut rows = Vec::new();
-    for (i, &p) in drop_probs.iter().enumerate() {
-        let seed = 0x13F0 + i as u64;
-        rows.push(trial(agents, stops, p, false, seed));
-        rows.push(trial(agents, stops, p, true, seed));
-    }
-    rows
+    drop_probs
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| trial(agents, stops, p, 0x13F0 + i as u64))
+        .collect()
 }
 
 /// Renders the table.
@@ -146,7 +128,6 @@ pub fn table(agents: usize, stops: usize, drop_probs: &[f64]) -> String {
         .map(|r| {
             vec![
                 format!("{:.0}%", r.drop_prob * 100.0),
-                if r.retries { "on".into() } else { "off".into() },
                 r.launched.to_string(),
                 format!(
                     "{} ({:.0}%)",
@@ -167,7 +148,6 @@ pub fn table(agents: usize, stops: usize, drop_probs: &[f64]) -> String {
         &format!("X13f — fault recovery, {agents} agents × {stops}-stop tour"),
         &[
             "drop",
-            "retries",
             "launched",
             "resolved",
             "completed",
@@ -189,31 +169,15 @@ mod tests {
     #[test]
     fn recovery_restores_full_resolution_under_loss() {
         let rows = run(8, 3, &[0.0, 0.2]);
-        let find = |p: f64, retries: bool| {
-            rows.iter()
-                .find(|r| r.drop_prob == p && r.retries == retries)
-                .unwrap()
-        };
+        let (clean, lossy) = (&rows[0], &rows[1]);
 
-        // Clean link: both modes resolve everything, nothing retries in
-        // the disabled world.
-        assert_eq!(find(0.0, false).resolved, 8);
-        assert_eq!(find(0.0, true).resolved, 8);
-        assert_eq!(find(0.0, false).transfers_retried, 0);
+        assert_eq!(clean.resolved, 8, "{clean:?}");
+        assert_eq!(clean.frames_dropped, 0);
 
-        // Lossy link, no retries: agents strand (8 × 4 reliable legs at
-        // 20% loss — survival of the whole fleet is a 2e-5 event).
-        let stranded = find(0.2, false);
-        assert!(
-            stranded.resolved < stranded.launched,
-            "20% loss without retries should strand agents: {stranded:?}"
-        );
-        assert!(stranded.frames_dropped > 0);
-
-        // Lossy link, retries: every fate resolves and the journals show
-        // the machinery that did it.
-        let recovered = find(0.2, true);
-        assert_eq!(recovered.resolved, recovered.launched, "{recovered:?}");
-        assert!(recovered.transfers_retried > 0);
+        // Lossy link: every fate resolves and the journals show the
+        // machinery that did it.
+        assert_eq!(lossy.resolved, lossy.launched, "{lossy:?}");
+        assert!(lossy.frames_dropped > 0);
+        assert!(lossy.transfers_retried > 0);
     }
 }

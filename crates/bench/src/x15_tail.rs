@@ -5,8 +5,8 @@
 //! latency *distribution*. A mean hides the price almost completely —
 //! the retried minority of hops pay one or more full `ack_grace`
 //! doublings while the majority are untouched — so the story only
-//! appears in the tail: p99 hop latency grows by orders of magnitude
-//! while the mean barely moves. The numbers come from the lock-free
+//! appears in the tail: p99 hop latency grows several times faster
+//! than the mean. The numbers come from the lock-free
 //! log₂ histograms every server keeps (`HistoPath::HopLatency`,
 //! `TransferRtt`, `RetryBackoff`), merged across the world — exactly
 //! what a deployment's metrics scrape would see.
@@ -44,7 +44,6 @@ fn trial(agents: usize, stops: usize, drop_prob: f64, seed: u64) -> TailRow {
         .retry(RetryPolicy {
             max_attempts: 14,
             ack_grace: Duration::from_millis(10),
-            ..RetryPolicy::default()
         })
         .build();
     let fault = Arc::new(LinkFault::new(seed, drop_prob));

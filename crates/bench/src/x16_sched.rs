@@ -25,7 +25,7 @@
 use std::time::{Duration, Instant};
 
 use ajanta_core::Rights;
-use ajanta_runtime::{HistoPath, World};
+use ajanta_runtime::{HistoPath, RetryPolicy, World};
 use ajanta_vm::{assemble, AgentImage, Value};
 
 /// One resident-count measurement.
@@ -64,6 +64,19 @@ pub struct WorkerRow {
     pub agents_per_core_s: f64,
     /// p99 ready-queue dwell (real ns) across the world's servers.
     pub p99_dwell_ns: u64,
+}
+
+/// A two-server world on a `workers`-wide pool. The receiving loop acks
+/// a launch burst only after admitting all of it, so under the default
+/// grace the sender would dead-stop agents that were in fact admitted.
+fn two_server_world(workers: usize) -> World {
+    World::builder(2)
+        .workers(workers)
+        .retry(RetryPolicy {
+            max_attempts: 5,
+            ack_grace: Duration::from_secs(60),
+        })
+        .build()
 }
 
 /// A minimal self-contained agent: burn `iters` loop iterations, return
@@ -162,7 +175,7 @@ pub fn resident_sweep(counts: &[usize], workers: usize, iters: i64) -> Vec<Resid
     counts
         .iter()
         .map(|&n| {
-            let mut world = World::builder(2).workers(workers).no_retry().build();
+            let mut world = two_server_world(workers);
             let (wall_ms, peak_ready, threads, rss_delta, residue) =
                 run_batch(&mut world, n, iters);
             world.shutdown();
@@ -185,7 +198,7 @@ pub fn worker_sweep(worker_counts: &[usize], agents: usize, iters: i64) -> Vec<W
     worker_counts
         .iter()
         .map(|&w| {
-            let mut world = World::builder(2).workers(w).no_retry().build();
+            let mut world = two_server_world(w);
             let (wall_ms, _, _, _, residue) = run_batch(&mut world, agents, iters);
             let p99_dwell_ns = world.merged_histos(HistoPath::ReadyDwell).quantile(0.99);
             world.shutdown();

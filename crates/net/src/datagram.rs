@@ -337,10 +337,11 @@ impl ReplayGuard {
 
     fn commit(&mut self, nonce: u64, sent_at: u64) {
         self.seen.insert(nonce, sent_at);
-        // Opportunistic purge of expired entries.
-        if self.seen.len().is_multiple_of(64) {
-            let window = self.window_ns;
-            let horizon = sent_at.saturating_sub(window);
+        // Opportunistic purge of expired entries. A zero horizon (a
+        // window wider than the clock has run) expires nothing, so the
+        // scan is skipped rather than visiting every nonce for nothing.
+        let horizon = sent_at.saturating_sub(self.window_ns);
+        if horizon > 0 && self.seen.len().is_multiple_of(64) {
             self.seen.retain(|_, &mut t| t >= horizon);
         }
     }

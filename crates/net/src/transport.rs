@@ -2,7 +2,7 @@
 //!
 //! [`crate::sim::SimNet`] was the only network this repo had, and the
 //! runtime held it by value. This module extracts the contract the
-//! runtime actually relies on — named endpoints, fire-and-forget
+//! runtime actually relies on — named endpoints, best-effort
 //! datagram delivery with an unauthenticated claimed origin, a shared
 //! virtual clock, traffic stats, and an adversary hook — into an
 //! object-safe [`Transport`] trait, so the same server loop runs

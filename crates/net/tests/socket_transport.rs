@@ -238,7 +238,7 @@ fn untrusted_peers_fail_the_handshake() {
     tm.add_route(b_name.clone(), tb.local_addr());
     let em = tm.attach(m_name.clone()).unwrap();
 
-    // Send succeeds locally (fire-and-forget datagram semantics) but
+    // Send succeeds locally (best-effort datagram semantics) but
     // nothing is ever delivered: the responder rejects the chain.
     em.send(&b_name, b"let me in".to_vec()).unwrap();
     assert!(

@@ -19,6 +19,9 @@
 //!   store hibernated agents spill to.
 //! * [`wal`] — the admission write-ahead log a restarted server replays
 //!   so in-flight agents survive a crash.
+//! * `custody` — the reliable-delivery core the server loop drives: the
+//!   dedup memory, the unacked frames and their one retry schedule
+//!   ([`RetryPolicy`]), with no I/O of its own.
 //! * [`server`] — the server proper plus its control handle.
 //! * [`owner`] — the owner-side application endpoint that mints
 //!   credentials and launches agents.
@@ -31,6 +34,7 @@
 
 pub mod bundle;
 pub mod control;
+mod custody;
 pub mod directory;
 pub mod env;
 pub mod itinerary;
@@ -48,6 +52,7 @@ pub use control::{
     AgentDetail, AgentEntry, AgentState, ControlClient, ControlRequest, ControlResponse,
     ControlServer, JournalEntry, JournalFollower, JournalPage, ServerStatus, CONTROL_VERSION,
 };
+pub use custody::RetryPolicy;
 pub use directory::Directory;
 pub use itinerary::{Itinerary, ItineraryError};
 pub use messages::{AgentStatus, Message, Report, ReportStatus};
@@ -56,7 +61,7 @@ pub use multiproc::{
 };
 pub use owner::Owner;
 pub use sched::{SchedDepths, Scheduler, DEFAULT_SLICE_FUEL};
-pub use server::{AgentServer, ControlView, QueryError, RetryPolicy, ServerConfig, ServerHandle};
+pub use server::{AgentServer, ControlView, QueryError, ServerConfig, ServerHandle};
 pub use vmres::VmResource;
 pub use wal::{AdmissionWal, WalRecord, WalRecovery};
 pub use world::{TransportMode, World};

@@ -44,10 +44,11 @@ use ajanta_net::secure::ChannelIdentity;
 use ajanta_net::{LinkFault, NetAddr, SocketConfig, SocketTransport, Transport};
 use ajanta_vm::{assemble, AgentImage, Value};
 
+use crate::custody::RetryPolicy;
 use crate::directory::Directory;
 use crate::itinerary::Itinerary;
 use crate::owner::Owner;
-use crate::server::{AgentServer, RetryPolicy, ServerConfig, ServerHandle};
+use crate::server::{AgentServer, ServerConfig, ServerHandle};
 
 /// The identities every process of a multi-process world derives from
 /// the shared seed. Certificates, keys, and the owner are byte-identical
@@ -169,7 +170,11 @@ fn sleeper_image() -> AgentImage {
     image
 }
 
-fn tourist_image(tour: &Itinerary) -> AgentImage {
+/// The smoke tour's agent, carrying everything in `tour` after the
+/// launch leg (the runtime drives the launch leg itself). Returns its
+/// hop count from the last stop; every stop must host a `jobs` buffer
+/// named `ajn://tour.org/resource/jobs`.
+pub fn tourist_image(tour: &Itinerary) -> AgentImage {
     let (_, rest) = tour.clone().next_stop();
     let module = assemble(TOURIST).expect("tourist assembles");
     let image = AgentImage {
@@ -259,7 +264,6 @@ pub fn run_child(opts: ChildOpts) -> Result<(), String> {
             retry: RetryPolicy {
                 max_attempts: 14,
                 ack_grace: Duration::from_millis(10),
-                ..RetryPolicy::default()
             },
             seed: derived.server_seeds[i],
             journal_capacity: 1 << 16,

@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,102 +37,13 @@ use ajanta_vm::{
 };
 use ajanta_wire::Wire;
 
+use crate::custody::{Custody, FrameKey, PendingSend, Recovery, RetryPolicy, SendKey};
 use crate::directory::Directory;
 use crate::env::AgentEnv;
 use crate::itinerary::Itinerary;
 use crate::messages::{Ack, AgentStatus, Message, Report, ReportStatus};
 use crate::sched::{SchedDepths, Scheduler, Task};
 use crate::vmres::VmResource;
-
-/// Retry/backoff policy for the fault-tolerant migration layer.
-///
-/// Reliable frames (agent transfers and home-bound reports) are tracked
-/// until the receiver's delivery ack arrives; a frame still unacked after
-/// [`RetryPolicy::ack_grace`] of *real* time is re-sent, with each retry
-/// modeled at a capped-exponential-backoff instant of **virtual** time
-/// (optionally jittered from the server's deterministic RNG). After
-/// [`RetryPolicy::max_attempts`] total attempts the frame dead-stops:
-/// transfers consult their itinerary fallbacks (skip the unreachable
-/// stop) or report `Failed(hop)` home — no orphans either way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total send attempts per destination (1 = fire-and-forget).
-    pub max_attempts: u32,
-    /// Backoff before the first retry (virtual ns); doubles per attempt.
-    pub base_delay_ns: u64,
-    /// Backoff ceiling (virtual ns).
-    pub max_delay_ns: u64,
-    /// Jitter each delay uniformly over `[delay/2, delay]`.
-    pub jitter: bool,
-    /// Real-time grace before an unacked *first* attempt counts as
-    /// lost; each later attempt doubles it, so a healthy-but-busy
-    /// receiver whose acks lag (a burst of admissions queued on its
-    /// loop) wins the race long before attempts exhaust. Healthy acks
-    /// beat the grace comfortably, so fault-free runs never force the
-    /// virtual clock forward and timing experiments are undisturbed.
-    pub ack_grace: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_delay_ns: 50 * ajanta_net::time::MILLIS,
-            max_delay_ns: 800 * ajanta_net::time::MILLIS,
-            jitter: true,
-            ack_grace: Duration::from_millis(25),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// The pre-fault-tolerance behavior: one attempt, no tracking, no
-    /// acks — a dropped transfer strands the agent.
-    pub fn disabled() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        }
-    }
-
-    /// Whether the reliable-delivery layer is active.
-    pub fn enabled(&self) -> bool {
-        self.max_attempts > 1
-    }
-
-    /// Backoff after `attempt` total attempts: capped exponential, with
-    /// optional deterministic jitter.
-    fn delay_ns(&self, attempt: u32, rng: &mut DetRng) -> u64 {
-        let exp = attempt.saturating_sub(1).min(16);
-        let full = self
-            .base_delay_ns
-            .saturating_mul(1u64 << exp)
-            .min(self.max_delay_ns)
-            .max(1);
-        if self.jitter {
-            full / 2 + rng.below(full - full / 2 + 1)
-        } else {
-            full
-        }
-    }
-
-    /// Real-time ack grace for a frame on its `attempt`-th attempt:
-    /// doubles per attempt so transient receiver backlog is outwaited,
-    /// saturating at [`MAX_ACK_GRACE`]. The multiplication saturates too:
-    /// a large configured `ack_grace` times `2^10` must clamp, not panic
-    /// (`Duration * u32` overflow aborts in both debug and release).
-    fn grace(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.saturating_sub(1).min(10);
-        self.ack_grace
-            .checked_mul(factor)
-            .unwrap_or(MAX_ACK_GRACE)
-            .min(MAX_ACK_GRACE)
-    }
-}
-
-/// Ceiling on the per-attempt ack grace: no backoff doubling waits more
-/// than a minute of real time before a frame is declared lost.
-const MAX_ACK_GRACE: Duration = Duration::from_secs(60);
 
 /// Replay-guard freshness window (virtual ns) of every server: a quarter
 /// of the clock's range, so no datagram ever ages out and every nonce
@@ -182,7 +93,7 @@ pub struct ServerConfig {
     pub vm_limits: Limits,
     /// Whether visiting agents may dispatch further agents.
     pub agents_may_dispatch: bool,
-    /// Retry/backoff policy for transfers and reports.
+    /// Retry policy for transfers and reports.
     pub retry: RetryPolicy,
     /// Seed for this server's nonce/ephemeral randomness.
     pub seed: u64,
@@ -210,97 +121,6 @@ pub struct ServerConfig {
 
 /// Queued (sender, payload) mail for one agent.
 type Mailbox = VecDeque<(Urn, Vec<u8>)>;
-
-/// The idempotency key of a reliable frame.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum FrameKey {
-    /// Admission idempotency (ISSUE tentpole 2): `(agent URN, hop)`,
-    /// deliberately sender-agnostic — the same hop arriving twice from
-    /// *anywhere* (retry, replay, dual-path failover) is admitted once.
-    Transfer {
-        /// The executing identity.
-        agent: Urn,
-        /// The hop sequence number carried in the transfer.
-        hop: u64,
-    },
-    /// Report dedup: scoped to the reporting server, whose private
-    /// sequence counter numbers its own reports.
-    Report {
-        /// The reporting server.
-        from: Urn,
-        /// The reported-on agent.
-        agent: Urn,
-        /// The reporter's delivery sequence.
-        seq: u64,
-    },
-}
-
-/// Bounded memory of already-processed reliable frames. FIFO-evicted at
-/// `SEEN_CAP`, so an adversary hammering retries cannot grow it without
-/// bound; the window is far larger than any plausible retry horizon.
-#[derive(Default)]
-struct SeenFrames {
-    set: HashSet<FrameKey>,
-    order: VecDeque<FrameKey>,
-}
-
-const SEEN_CAP: usize = 8192;
-
-impl SeenFrames {
-    /// Returns true when `key` is fresh (first sighting).
-    fn insert(&mut self, key: FrameKey) -> bool {
-        if !self.set.insert(key.clone()) {
-            return false;
-        }
-        self.order.push_back(key);
-        if self.order.len() > SEEN_CAP {
-            if let Some(old) = self.order.pop_front() {
-                self.set.remove(&old);
-            }
-        }
-        true
-    }
-}
-
-/// A transfer's recovery plan, consulted when retries toward its current
-/// destination exhaust.
-struct Recovery {
-    /// Credentials for the `Failed(hop)` home report of last resort.
-    credentials: Credentials,
-    /// Remaining itinerary stops to fall back to, in order.
-    fallbacks: Vec<Urn>,
-}
-
-/// One reliable frame awaiting its delivery ack.
-struct PendingSend {
-    dest: Urn,
-    msg: Message,
-    /// Send attempts so far (≥ 1).
-    attempt: u32,
-    /// Virtual instant the next retry is modeled at.
-    due_ns: u64,
-    /// Real instant of the last attempt; the retry ticker only acts once
-    /// [`RetryPolicy::ack_grace`] of real time has passed without an ack.
-    sent_real: Instant,
-    /// `Some` for transfers (dead-stop recovery), `None` for reports.
-    recovery: Option<Recovery>,
-    /// The frame's span (transfer leg or report journey); retries journal
-    /// as its children, and a transfer's span is emitted when its first
-    /// ack resolves it.
-    ctx: SpanContext,
-    /// Virtual time of the very first send — the transfer-RTT and
-    /// hop-latency baseline. Never updated by retries or fallbacks.
-    first_sent_ns: u64,
-    /// Virtual time of the most recent attempt, so each retry span can
-    /// report the backoff actually waited.
-    last_sent_ns: u64,
-    /// The WAL admission this frame settles: when the ack for this frame
-    /// arrives, custody of `(agent, hop)` has passed to the receiver (or
-    /// home) and a `Resolve` record is appended. Custody must ride the
-    /// pending-send entry — resolving at *send* time would drop the
-    /// admission from the log while the frame could still be lost.
-    custody: Option<(Urn, u64)>,
-}
 
 /// Lock shards for the mailbox map. Mail delivery and pickup for
 /// different agents contend only within a shard, so many agent worker
@@ -347,13 +167,12 @@ pub struct Shared {
     pending_queries:
         Mutex<BTreeMap<u64, crossbeam::channel::Sender<Result<AgentStatus, QueryError>>>>,
     next_query_id: AtomicU64,
-    /// The fault-tolerant migration layer's state: policy, unacked
-    /// frames, the ticker's wakeup, and the receive-side dedup memory.
-    retry: RetryPolicy,
-    pending_sends: Mutex<HashMap<(u8, Urn, u64), PendingSend>>,
-    retry_cv: Condvar,
-    retry_shutdown: AtomicBool,
-    seen: Mutex<SeenFrames>,
+    /// The fault-tolerant migration layer's state: the receive-side
+    /// dedup memory and the unacked frames, which the server loop
+    /// services. Never held across a send, span or WAL append.
+    custody: Mutex<Custody>,
+    /// The real-time origin of the custody schedule.
+    started: Instant,
     next_report_seq: AtomicU64,
     /// Hibernated agents, serialized (tentpole: durability). Present on
     /// every server; empty unless `hibernate_after_misses` is set.
@@ -662,7 +481,7 @@ impl Shared {
             Vec::new(),
             credentials.clone(),
             None,
-        )?;
+        );
         Ok(child)
     }
 
@@ -771,11 +590,7 @@ impl Shared {
         let seq = self.next_report_seq.fetch_add(1, Ordering::Relaxed);
         let home = credentials.home.clone();
         let msg = Message::Report { report, seq, ctx };
-        if let Err(e) =
-            self.send_reliable(&home, msg, Ack::REPORT, run_as.clone(), seq, None, custody)
-        {
-            self.reject(RejectKind::ReportUndeliverable, e);
-        }
+        self.send_reliable(&home, msg, Ack::REPORT, run_as.clone(), seq, None, custody);
     }
 
     /// Sends an agent transfer with at-least-once delivery and a
@@ -794,7 +609,7 @@ impl Shared {
         fallbacks: Vec<Urn>,
         credentials: Credentials,
         custody: Option<(Urn, u64)>,
-    ) -> Result<(), String> {
+    ) {
         let recovery = Recovery {
             credentials,
             fallbacks,
@@ -811,10 +626,8 @@ impl Shared {
     }
 
     /// At-least-once delivery: tracks the frame under `(kind, agent,
-    /// seq)` until the peer's [`Message::Ack`] clears it; the retry
-    /// ticker re-sends and eventually dead-stops it. With retries
-    /// disabled this degenerates to the legacy fire-and-forget
-    /// `send_message`, surfacing the send error to the caller.
+    /// seq)` until the peer's [`Message::Ack`] clears it; the server
+    /// loop re-sends and eventually dead-stops it.
     #[allow(clippy::too_many_arguments)]
     fn send_reliable(
         &self,
@@ -825,7 +638,7 @@ impl Shared {
         seq: u64,
         recovery: Option<Recovery>,
         custody: Option<(Urn, u64)>,
-    ) -> Result<(), String> {
+    ) {
         // The frame carries its own span context; the pending entry
         // remembers it so acks and retries can attach to the same span.
         let (ctx, first_sent_ns) = match &msg {
@@ -833,92 +646,55 @@ impl Shared {
             Message::Report { ctx, .. } => (*ctx, self.clock_now()),
             _ => (SpanContext::root(TraceId(0), SpanId(0)), self.clock_now()),
         };
-        if !self.retry.enabled() {
-            // Fire-and-forget: there will never be an ack to resolve a
-            // transfer's span, so close it at the send — the receiver's
-            // admission span still needs a journaled parent.
-            if kind == Ack::TRANSFER {
-                self.emit_span(
-                    ctx,
-                    SpanKind::Transfer,
-                    &agent,
-                    format!("to {dest} (fire-and-forget)"),
-                    first_sent_ns,
-                    0,
-                );
-            }
-            let result = self.send_message(dest, &msg);
-            // No ack will ever settle this frame; resolve the admission
-            // now so the WAL does not replay an agent we chose to treat
-            // as handed off.
-            if let Some((agent, hop)) = custody {
-                self.wal_resolve(&agent, hop);
-            }
-            return result;
-        }
         // A failed first send (unknown peer, detached endpoint) is just
-        // a lost attempt: the ticker retries it and the dead-stop path
+        // a lost attempt: the loop retries it and the dead-stop path
         // eventually resolves the agent's fate.
         let _ = self.send_message(dest, &msg);
-        let due_ns = {
-            let mut rng = self.rng.lock();
-            self.clock_now() + self.retry.delay_ns(1, &mut rng)
-        };
         let entry = PendingSend {
             dest: dest.clone(),
             msg,
             attempt: 1,
-            due_ns,
-            sent_real: Instant::now(),
+            sent_at: self.started.elapsed(),
             recovery,
             ctx,
             first_sent_ns,
             last_sent_ns: first_sent_ns,
             custody,
         };
-        self.pending_sends.lock().insert((kind, agent, seq), entry);
-        self.retry_cv.notify_all();
-        Ok(())
+        self.custody.lock().track((kind, agent, seq), entry);
     }
 
-    /// One retry-ticker pass: re-send every frame whose real-time ack
-    /// grace has lapsed, dead-stopping those out of attempts.
-    fn service_pending(&self) {
-        let now_real = Instant::now();
-        let due: Vec<((u8, Urn, u64), PendingSend)> = {
-            let mut pending = self.pending_sends.lock();
-            let keys: Vec<_> = pending
-                .iter()
-                .filter(|(_, e)| {
-                    now_real.duration_since(e.sent_real) >= self.retry.grace(e.attempt)
-                })
-                .map(|(k, _)| k.clone())
-                .collect();
-            keys.into_iter()
-                .filter_map(|k| pending.remove(&k).map(|e| (k, e)))
-                .collect()
-        };
-        for ((kind, agent, seq), entry) in due {
-            if entry.attempt >= self.retry.max_attempts {
-                self.dead_stop(kind, agent, seq, entry);
-            } else {
-                self.resend(kind, agent, seq, entry);
-            }
+    /// One retry pass of the server loop: re-sends every frame whose ack
+    /// grace has lapsed and dead-stops those out of attempts. Returns
+    /// how long the loop may block before the next pass.
+    fn service_due(&self) -> Duration {
+        let due = self.custody.lock().take_due(self.started.elapsed());
+        for (key, entry, waited) in due.resend {
+            self.resend(key, entry, waited);
         }
+        for (key, entry) in due.exhausted {
+            self.dead_stop(key, entry);
+        }
+        due.wait
     }
 
-    fn resend(&self, kind: u8, agent: Urn, seq: u64, mut entry: PendingSend) {
-        // The retry is *modeled* at its backoff instant: advance the
-        // virtual clock to the due time (a no-op when other traffic has
-        // already passed it) so retry latency is visible in virtual-time
-        // metrics, exactly like link transit is.
-        self.net.clock().advance_to(entry.due_ns);
+    fn resend(&self, key: SendKey, mut entry: PendingSend, waited: Duration) {
+        // The retry is *modeled* at the instant its ack grace ran out:
+        // advance the virtual clock to the last attempt plus the grace
+        // actually waited (a no-op when other traffic has already passed
+        // it), so retry latency is visible in virtual-time metrics,
+        // exactly like link transit is. On a socket transport that
+        // instant is already past, so the clock never leads the wall.
+        self.net
+            .clock()
+            .advance_to(entry.last_sent_ns + waited.as_nanos() as u64);
         entry.attempt += 1;
-        if kind == Ack::TRANSFER {
+        let (kind, agent, seq) = &key;
+        if *kind == Ack::TRANSFER {
             self.journal.append(Event::TransferRetried {
                 agent: agent.clone(),
                 dest: entry.dest.clone(),
-                hop: seq,
+                hop: *seq,
                 attempt: entry.attempt,
             });
         }
@@ -926,38 +702,31 @@ impl Shared {
         // its duration is the backoff actually waited since the previous
         // attempt, which also feeds the RetryBackoff histogram.
         let now = self.clock_now();
-        let waited = now.saturating_sub(entry.last_sent_ns);
+        let backoff = now.saturating_sub(entry.last_sent_ns);
         self.journal
             .histos()
-            .record(HistoPath::RetryBackoff, waited);
+            .record(HistoPath::RetryBackoff, backoff);
         self.emit_span(
             entry.ctx.child(self.journal.mint_span()),
             SpanKind::Retry,
-            &agent,
+            agent,
             format!("attempt {} toward {}", entry.attempt, entry.dest),
             entry.last_sent_ns,
-            waited,
+            backoff,
         );
         entry.last_sent_ns = now;
         let _ = self.send_message(&entry.dest, &entry.msg);
-        let delay = {
-            let mut rng = self.rng.lock();
-            self.retry.delay_ns(entry.attempt, &mut rng)
-        };
-        entry.due_ns = self.clock_now() + delay;
-        entry.sent_real = Instant::now();
-        self.pending_sends.lock().insert((kind, agent, seq), entry);
-        // If the ack raced the re-insert it cleared the old entry only;
-        // harmless — the receiver acks every duplicate copy too, so the
-        // re-sent frame's own ack clears this one.
+        entry.sent_at = self.started.elapsed();
+        self.custody.lock().track(key, entry);
     }
 
     /// Retries exhausted. Transfers consult the itinerary: skip the dead
     /// stop if a fallback exists, else report `Failed(hop)` home — the
     /// home site always learns the agent's fate. Reports just journal;
     /// there is nothing left to escalate to.
-    fn dead_stop(&self, kind: u8, agent: Urn, seq: u64, entry: PendingSend) {
-        let Some(mut recovery) = entry.recovery else {
+    fn dead_stop(&self, key: SendKey, mut entry: PendingSend) {
+        let (_, agent, seq) = &key;
+        let Some(mut recovery) = entry.recovery.take() else {
             self.reject(
                 RejectKind::ReportUndeliverable,
                 format!(
@@ -967,7 +736,7 @@ impl Shared {
             );
             return;
         };
-        let hop = seq;
+        let hop = *seq;
         if recovery.fallbacks.is_empty() {
             self.journal.append(Event::AgentRecovered {
                 agent: agent.clone(),
@@ -980,17 +749,16 @@ impl Shared {
             self.emit_span(
                 entry.ctx,
                 SpanKind::Transfer,
-                &agent,
+                agent,
                 format!("to {} lost after {} attempts", entry.dest, entry.attempt),
                 entry.first_sent_ns,
                 self.clock_now().saturating_sub(entry.first_sent_ns),
             );
-            let credentials = recovery.credentials;
             // Custody passes to the Failed report: the home site learning
             // the fate is what settles the admission.
             self.report_home(
-                &agent,
-                &credentials,
+                agent,
+                &recovery.credentials,
                 ReportStatus::Failed(format!(
                     "hop {hop}: transfer to {} lost after {} attempts",
                     entry.dest, entry.attempt
@@ -1017,26 +785,15 @@ impl Shared {
         // were lost, the fallback copy can at worst duplicate-admit at a
         // *different* server, never the same one twice.
         let _ = self.send_message(&next, &entry.msg);
-        let due_ns = {
-            let mut rng = self.rng.lock();
-            self.clock_now() + self.retry.delay_ns(1, &mut rng)
-        };
         // The span context and first-send baseline carry over: a skip is
         // the *same* transfer leg finding another door, and its eventual
         // RTT should include the time burned on the dead stop.
-        let fresh = PendingSend {
-            dest: next,
-            msg: entry.msg,
-            attempt: 1,
-            due_ns,
-            sent_real: Instant::now(),
-            recovery: Some(recovery),
-            ctx: entry.ctx,
-            first_sent_ns: entry.first_sent_ns,
-            last_sent_ns: self.clock_now(),
-            custody: entry.custody,
-        };
-        self.pending_sends.lock().insert((kind, agent, seq), fresh);
+        entry.dest = next;
+        entry.attempt = 1;
+        entry.sent_at = self.started.elapsed();
+        entry.recovery = Some(recovery);
+        entry.last_sent_ns = self.clock_now();
+        self.custody.lock().track(key, entry);
     }
 
     /// Appends an [`crate::wal::WalRecord::Admit`] for `bundle` — called
@@ -1249,28 +1006,6 @@ impl Shared {
     }
 }
 
-/// The retry ticker: parks while nothing is pending, then services the
-/// unacked set every millisecond until shutdown.
-fn retry_loop(shared: Arc<Shared>) {
-    loop {
-        {
-            let mut pending = shared.pending_sends.lock();
-            while pending.is_empty() && !shared.retry_shutdown.load(Ordering::Acquire) {
-                // The timeout is only a backstop against a lost wakeup.
-                let (g, _) = shared
-                    .retry_cv
-                    .wait_timeout(pending, Duration::from_millis(25));
-                pending = g;
-            }
-        }
-        if shared.retry_shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-        shared.service_pending();
-    }
-}
-
 /// Control-channel commands. (`Launch` carries a whole agent; boxing
 /// would only obscure the one-shot hand-off.)
 #[allow(clippy::large_enum_variant)]
@@ -1299,7 +1034,6 @@ pub struct ServerHandle {
     view: ControlView,
     ctrl: Sender<Control>,
     join: Option<std::thread::JoinHandle<()>>,
-    retry_join: Option<std::thread::JoinHandle<()>>,
     /// Whether this handle started (and must stop) a private scheduler,
     /// as opposed to borrowing a world-shared one.
     owns_sched: bool,
@@ -1457,7 +1191,7 @@ impl ServerHandle {
         self.view.shared.local_mail(from, to, data)
     }
 
-    /// Stops the server loop and joins all threads. A privately owned
+    /// Stops the server loop and joins its thread. A privately owned
     /// scheduler is drained and stopped too; a world-shared one is left
     /// to [`crate::World::shutdown`].
     pub fn shutdown(mut self) {
@@ -1465,14 +1199,8 @@ impl ServerHandle {
         if let Some(join) = self.join.take() {
             let _ = join.join();
         }
-        let shared = &self.view.shared;
-        shared.retry_shutdown.store(true, Ordering::Release);
-        shared.retry_cv.notify_all();
-        if let Some(join) = self.retry_join.take() {
-            let _ = join.join();
-        }
         if self.owns_sched {
-            shared.sched.stop();
+            self.view.shared.sched.stop();
         }
     }
 }
@@ -1531,16 +1259,7 @@ impl ControlView {
     /// frames carrying a WAL admission that has not been resolved by an
     /// ack yet.
     pub fn in_flight_agents(&self) -> Vec<(Urn, u64)> {
-        let mut v: Vec<(Urn, u64)> = self
-            .shared
-            .pending_sends
-            .lock()
-            .values()
-            .filter_map(|p| p.custody.clone())
-            .collect();
-        v.sort();
-        v.dedup();
-        v
+        self.shared.custody.lock().in_flight()
     }
 
     /// The `n` most recent per-agent log lines, oldest first — a filtered
@@ -1582,7 +1301,7 @@ impl ControlView {
     /// journaled when the leg *resolves*, so exporting mid-flight can
     /// miss parents of already-journaled Retry and Admission spans.
     pub fn pending_send_count(&self) -> usize {
-        self.shared.pending_sends.lock().len()
+        self.shared.custody.lock().len()
     }
 
     /// Exports this server's trace-relevant journal records as JSONL for
@@ -1664,11 +1383,11 @@ impl AgentServer {
             }
             None => (None, None),
         };
-        let mut seen = SeenFrames::default();
+        let mut custody = Custody::new(config.retry);
         let mut replay_bundles = Vec::new();
         if let Some(recovery) = recovery {
             for (agent, hop) in recovery.resolved {
-                seen.insert(FrameKey::Transfer { agent, hop });
+                custody.fresh(FrameKey::Transfer { agent, hop });
             }
             replay_bundles = recovery.unresolved;
         }
@@ -1694,11 +1413,8 @@ impl AgentServer {
             guard: Mutex::new(ReplayGuard::new(REPLAY_WINDOW_NS)),
             pending_queries: Mutex::new(BTreeMap::new()),
             next_query_id: AtomicU64::new(1),
-            retry: config.retry,
-            pending_sends: Mutex::new(HashMap::new()),
-            retry_cv: Condvar::new(),
-            retry_shutdown: AtomicBool::new(false),
-            seen: Mutex::new(seen),
+            custody: Mutex::new(custody),
+            started: Instant::now(),
             next_report_seq: AtomicU64::new(1),
             bundles: crate::bundle::BundleStore::in_memory(),
             wal,
@@ -1739,23 +1455,11 @@ impl AgentServer {
             .name(format!("ajanta-{}", config.name.leaf()))
             .spawn(move || server_loop(loop_shared, endpoint, ctrl_rx, replay_bundles))
             .expect("spawning server thread");
-        let retry_join = if shared.retry.enabled() {
-            let retry_shared = Arc::clone(&shared);
-            Some(
-                std::thread::Builder::new()
-                    .name(format!("ajanta-retry-{}", config.name.leaf()))
-                    .spawn(move || retry_loop(retry_shared))
-                    .expect("spawning retry thread"),
-            )
-        } else {
-            None
-        };
 
         ServerHandle {
             view: ControlView { shared },
             ctrl: ctrl_tx,
             join: Some(join),
-            retry_join,
             owns_sched,
         }
     }
@@ -1772,12 +1476,12 @@ fn server_loop(
     let mut batch: Vec<Box<dyn Task>> = Vec::new();
     // WAL replay (tentpole): re-admit every agent a previous incarnation
     // owned but had not resolved, through the normal admission pipeline.
-    // The `seen` insert makes the replay idempotent against the peer's
+    // The dedup entry makes the replay idempotent against the peer's
     // own retry of the same frame arriving later — and `wal_log: false`
     // keeps the replay from re-logging admissions that are already in
     // the log unresolved.
     for bundle in replay {
-        let fresh = shared.seen.lock().insert(FrameKey::Transfer {
+        let fresh = shared.custody.lock().fresh(FrameKey::Transfer {
             agent: bundle.agent.clone(),
             hop: bundle.hop,
         });
@@ -1814,6 +1518,12 @@ fn server_loop(
     // check, so "ack first, even duplicates" is unchanged.
     let mut outbox: Vec<(Urn, Message)> = Vec::new();
     loop {
+        // Retries and dead stops happen here and only here: the retry
+        // pass runs after the previous burst was drained and its acks
+        // flushed, so an ack already received clears its frame before
+        // that frame's grace is checked. The loop then blocks no longer
+        // than the next frame needs.
+        let wait = shared.service_due();
         crossbeam::channel::select! {
             recv(ctrl) -> cmd => match cmd {
                 Ok(Control::Launch { dest, credentials, image, fallbacks }) => {
@@ -1847,13 +1557,7 @@ fn server_loop(
                         ctx: root.child(shared.journal.mint_span()),
                         sent_ns: now,
                     };
-                    if let Err(e) = shared.send_transfer(
-                        &dest, msg, agent, 0, fallbacks, credentials.clone(), None,
-                    ) {
-                        shared.report_home(&credentials.agent.clone(), &credentials, ReportStatus::Refused(
-                            format!("launch toward {dest} failed: {e}"),
-                        ), Some((root.trace, root.span)), None);
-                    }
+                    shared.send_transfer(&dest, msg, agent, 0, fallbacks, credentials, None);
                 }
                 Ok(Control::QueryStatus { server, agent, reply }) => {
                     let query_id = shared.next_query_id.fetch_add(1, Ordering::Relaxed);
@@ -1876,6 +1580,7 @@ fn server_loop(
                 }
                 Err(_) => break,
             },
+            default(wait) => {}
         }
         // Drain the rest of the burst without blocking, then enqueue
         // the whole tick's admissions at once.
@@ -1961,19 +1666,17 @@ fn handle_delivery(
             ctx,
             sent_ns,
         } => {
-            if shared.retry.enabled() {
-                // Ack first — even duplicates: "acknowledged but not
-                // re-admitted". The admission decision itself hinges on
-                // the idempotency key (agent, hop): a retried or
-                // replayed copy of an already-seen hop goes no further.
-                let ack = Message::Ack {
-                    kind: Ack::TRANSFER,
-                    agent: run_as.clone(),
-                    seq: hop,
-                };
-                outbox.push((sender.clone(), ack));
-            }
-            let fresh = shared.seen.lock().insert(FrameKey::Transfer {
+            // Ack first — even duplicates: "acknowledged but not
+            // re-admitted". The admission decision itself hinges on the
+            // idempotency key (agent, hop): a retried or replayed copy
+            // of an already-seen hop goes no further.
+            let ack = Message::Ack {
+                kind: Ack::TRANSFER,
+                agent: run_as.clone(),
+                seq: hop,
+            };
+            outbox.push((sender.clone(), ack));
+            let fresh = shared.custody.lock().fresh(FrameKey::Transfer {
                 agent: run_as.clone(),
                 hop,
             });
@@ -1998,15 +1701,13 @@ fn handle_delivery(
             );
         }
         Message::Report { report, seq, ctx } => {
-            if shared.retry.enabled() {
-                let ack = Message::Ack {
-                    kind: Ack::REPORT,
-                    agent: report.agent.clone(),
-                    seq,
-                };
-                outbox.push((sender.clone(), ack));
-            }
-            let fresh = shared.seen.lock().insert(FrameKey::Report {
+            let ack = Message::Ack {
+                kind: Ack::REPORT,
+                agent: report.agent.clone(),
+                seq,
+            };
+            outbox.push((sender.clone(), ack));
+            let fresh = shared.custody.lock().fresh(FrameKey::Report {
                 from: sender.clone(),
                 agent: report.agent.clone(),
                 seq,
@@ -2026,10 +1727,7 @@ fn handle_delivery(
             // resolved transfer closes its Transfer span with the full
             // virtual round trip since the *first* send — retry backoffs
             // included, which is exactly the tail the histogram is for.
-            let entry = shared
-                .pending_sends
-                .lock()
-                .remove(&(kind, agent.clone(), seq));
+            let entry = shared.custody.lock().settle(&(kind, agent.clone(), seq));
             if let Some(entry) = entry {
                 if kind == Ack::TRANSFER {
                     let rtt = shared.clock_now().saturating_sub(entry.first_sent_ns);
@@ -2567,7 +2265,7 @@ impl AgentTask {
                             };
                             // go_tour's itinerary tail rides along as the
                             // dead-stop recovery plan; plain go has none.
-                            if let Err(e) = shared.send_transfer(
+                            shared.send_transfer(
                                 &go.dest,
                                 msg,
                                 run_as.clone(),
@@ -2575,18 +2273,7 @@ impl AgentTask {
                                 go.fallbacks.clone(),
                                 credentials.clone(),
                                 custody(),
-                            ) {
-                                shared.report_home(
-                                    run_as,
-                                    credentials,
-                                    ReportStatus::Failed(format!(
-                                        "go toward {} failed: {e}",
-                                        go.dest
-                                    )),
-                                    parent,
-                                    custody(),
-                                );
-                            }
+                            );
                         }
                     }
                     None => {
@@ -2619,48 +2306,5 @@ impl AgentTask {
                 );
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Regression: `Duration * u32` aborts on overflow in both debug and
-    /// release. A generously configured `ack_grace` crossed with the
-    /// per-attempt doubling used to do exactly that around attempt 11;
-    /// now both the multiplication and the result saturate at the
-    /// ceiling.
-    #[test]
-    fn ack_grace_backoff_saturates_instead_of_panicking() {
-        let policy = RetryPolicy {
-            ack_grace: Duration::from_secs(u64::MAX / 2),
-            ..RetryPolicy::default()
-        };
-        for attempt in [0, 1, 2, 10, 11, 12, 31, 32, 64, u32::MAX] {
-            assert_eq!(policy.grace(attempt), MAX_ACK_GRACE);
-        }
-    }
-
-    /// The intended shape below the ceiling: doubles per attempt, factor
-    /// capped at 2^10, absolute wait capped at [`MAX_ACK_GRACE`].
-    #[test]
-    fn ack_grace_doubles_then_hits_both_ceilings() {
-        let policy = RetryPolicy {
-            ack_grace: Duration::from_millis(10),
-            ..RetryPolicy::default()
-        };
-        assert_eq!(policy.grace(1), Duration::from_millis(10));
-        assert_eq!(policy.grace(2), Duration::from_millis(20));
-        assert_eq!(policy.grace(5), Duration::from_millis(160));
-        // The doubling factor freezes at 2^10...
-        assert_eq!(policy.grace(11), Duration::from_millis(10_240));
-        assert_eq!(policy.grace(64), Duration::from_millis(10_240));
-        // ...and a wider base clamps to the one-minute ceiling instead.
-        let wide = RetryPolicy {
-            ack_grace: Duration::from_secs(1),
-            ..RetryPolicy::default()
-        };
-        assert_eq!(wide.grace(10), MAX_ACK_GRACE);
     }
 }

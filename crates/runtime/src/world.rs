@@ -14,10 +14,11 @@ use ajanta_net::secure::ChannelIdentity;
 use ajanta_net::{Adversary, LinkModel, NetAddr, SimNet, SocketConfig, SocketTransport, Transport};
 use ajanta_vm::Limits;
 
+use crate::custody::RetryPolicy;
 use crate::directory::Directory;
 use crate::owner::Owner;
 use crate::sched::{self, Scheduler};
-use crate::server::{AgentServer, RetryPolicy, ServerConfig, ServerHandle};
+use crate::server::{AgentServer, ServerConfig, ServerHandle};
 
 /// Per-server policy factory: (server index, server name) → policy.
 type PolicyFactory = Box<dyn Fn(usize, &Urn) -> SecurityPolicy>;
@@ -105,17 +106,9 @@ impl WorldBuilder {
         self
     }
 
-    /// Sets the transfer retry/backoff policy for every server.
+    /// Sets the transfer retry policy for every server.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Disables the fault-tolerant migration layer (fire-and-forget
-    /// transfers, as before it existed) — the "strands agents" baseline
-    /// of the fault-injection experiments.
-    pub fn no_retry(mut self) -> Self {
-        self.retry = RetryPolicy::disabled();
         self
     }
 

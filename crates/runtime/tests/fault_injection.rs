@@ -6,17 +6,16 @@
 //! `Failed(hop)`), no server ever admits the same (agent, hop) twice no
 //! matter how many retry copies arrive, and unreachable itinerary stops
 //! are skipped or the agent is recovered home — all visible in the typed
-//! telemetry journal. A control test shows the pre-recovery behavior:
-//! with retries disabled, a lossy link simply strands agents.
+//! telemetry journal.
 
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use ajanta_core::Rights;
 use ajanta_net::LinkFault;
 use ajanta_runtime::itinerary::Itinerary;
-use ajanta_runtime::{Counter, Event, ReportStatus, RetryPolicy, World};
+use ajanta_runtime::{Counter, Event, ReportStatus, RetryPolicy, TransportMode, World};
 use ajanta_vm::{assemble, AgentImage, Value};
 
 /// A touring agent that migrates with `env.go_tour`, so the runtime
@@ -120,7 +119,6 @@ fn tour_survives_twenty_percent_frame_loss() {
             // common path fast.
             max_attempts: 14,
             ack_grace: Duration::from_millis(10),
-            ..RetryPolicy::default()
         })
         .journal_capacity(1 << 16)
         .build();
@@ -175,7 +173,6 @@ fn blackout_stop_is_skipped_not_fatal() {
         .retry(RetryPolicy {
             max_attempts: 4,
             ack_grace: Duration::from_millis(10),
-            ..RetryPolicy::default()
         })
         .journal_capacity(1 << 14)
         .build();
@@ -241,7 +238,6 @@ fn unreachable_final_stop_reports_failed_home() {
         .retry(RetryPolicy {
             max_attempts: 3,
             ack_grace: Duration::from_millis(10),
-            ..RetryPolicy::default()
         })
         .build();
     let fault = Arc::new(LinkFault::new(0xFA17_0003, 0.0).with_clock(world.net.clock().clone()));
@@ -280,56 +276,19 @@ fn unreachable_final_stop_reports_failed_home() {
     world.shutdown();
 }
 
-/// The control experiment: the same lossy link with retries disabled
-/// demonstrably strands agents — no reports, no recovery, no trace —
-/// while the recovering world resolves every agent's fate.
+/// Total loss on the launch leg: every agent's fate still resolves, as
+/// a `Failed(hop 0)` report recorded at the home server itself.
 #[test]
-fn disabled_retries_strand_agents_on_a_lossy_link() {
+fn total_loss_resolves_as_failed_hop_zero() {
     const AGENTS: usize = 4;
-    // World A: fire-and-forget transfers over a link that drops all.
-    let mut world = World::builder(2).no_retry().build();
-    let fault = Arc::new(LinkFault::new(0xFA17_0004, 1.0));
-    world.net.set_adversary(Some(fault.clone()));
-    let mut owner = world.owner("ghost");
-    let home = world.server(0).name().clone();
-    for _ in 0..AGENTS {
-        let agent = owner.next_agent_name("noop");
-        let creds = owner.credentials(agent, home.clone(), Rights::all(), u64::MAX);
-        world.server(0).launch(
-            world.server(1).name().clone(),
-            creds,
-            tourist_image(&Itinerary::new([world.server(1).name().clone()])),
-        );
-    }
-    let reports = world.server(0).wait_reports(1, Duration::from_millis(1500));
-    assert!(
-        reports.is_empty(),
-        "without retries a lossy link strands agents silently"
-    );
-    assert!(fault.dropped_count() >= AGENTS as u64);
-    assert_eq!(world.server(1).resident_agents(), 0);
-    assert_eq!(
-        world
-            .servers
-            .iter()
-            .map(|s| s.journal().counter(Counter::TransfersRetried))
-            .sum::<u64>(),
-        0
-    );
-    world.shutdown();
-
-    // World B: identical faults, retries on — every agent's fate resolves
-    // as a Failed(hop 0) report recorded at the home server itself.
     let mut world = World::builder(2)
         .retry(RetryPolicy {
             max_attempts: 3,
             ack_grace: Duration::from_millis(10),
-            ..RetryPolicy::default()
         })
         .build();
-    world
-        .net
-        .set_adversary(Some(Arc::new(LinkFault::new(0xFA17_0005, 1.0))));
+    let fault = Arc::new(LinkFault::new(0xFA17_0005, 1.0));
+    world.net.set_adversary(Some(fault.clone()));
     let mut owner = world.owner("phoenix");
     let home = world.server(0).name().clone();
     let mut launched = HashSet::new();
@@ -353,9 +312,68 @@ fn disabled_retries_strand_agents_on_a_lossy_link() {
             report.status
         );
     }
+    assert!(fault.dropped_count() >= 3 * AGENTS as u64);
+    assert_eq!(world.server(1).resident_agents(), 0);
     assert_eq!(
         world.server(0).journal().counter(Counter::AgentsRecovered),
         AGENTS as u64
     );
+    world.shutdown();
+}
+
+/// Regression: a socket transport's clock is its wall anchor, and a
+/// retry used to push it to a modeled backoff instant later than the
+/// grace actually waited — so every timestamp the server stamped
+/// afterwards lay in the future. Here the launch's first attempt is
+/// lost, the retry gets through, and once the report is home no
+/// transport's clock may lead wall time.
+#[test]
+fn retries_keep_socket_clocks_at_wall_time() {
+    let mut world = World::builder(2)
+        .transport(TransportMode::Uds)
+        .retry(RetryPolicy {
+            max_attempts: 5,
+            ack_grace: Duration::from_millis(10),
+        })
+        .build();
+    // Server 1 is blacked out until its first frame has been lost.
+    let fault = Arc::new(LinkFault::new(0xFA17_0006, 0.0).with_clock(world.net.clock().clone()));
+    fault.blackout(world.server(1).name().clone(), 0, u64::MAX);
+    world.set_adversary(Some(fault.clone()));
+
+    let mut owner = world.owner("clockwatch");
+    let home = world.server(0).name().clone();
+    let stop = world.server(1).name().clone();
+    let agent = owner.next_agent_name("tourist");
+    let creds = owner.credentials(agent, home, Rights::all(), u64::MAX);
+    world
+        .server(0)
+        .launch(stop.clone(), creds, tourist_image(&Itinerary::new([stop])));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while fault.blackout_dropped_count() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    world.set_adversary(None);
+
+    let reports = world.server(0).wait_reports(1, Duration::from_secs(30));
+    assert_eq!(reports.len(), 1);
+    assert!(
+        matches!(reports[0].status, ReportStatus::Completed(_)),
+        "{:?}",
+        reports[0].status
+    );
+    assert!(world.server(0).journal().counter(Counter::TransfersRetried) >= 1);
+    let wall = SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .unwrap()
+        .as_nanos() as u64;
+    for (i, transport) in world.transports().iter().enumerate() {
+        let lead = transport.clock().now().saturating_sub(wall);
+        assert!(
+            lead <= 2_000_000,
+            "transport {i}'s clock leads wall time by {:.2} ms",
+            lead as f64 / 1e6
+        );
+    }
     world.shutdown();
 }

@@ -10,76 +10,12 @@ use std::time::{Duration, Instant};
 use ajanta_core::{BoundedBuffer, Guarded, ProxyPolicy, Rights};
 use ajanta_naming::Urn;
 use ajanta_runtime::itinerary::Itinerary;
+use ajanta_runtime::multiproc::tourist_image;
 use ajanta_runtime::{Event, RetryPolicy, TransportMode, World};
-use ajanta_vm::{assemble, AgentImage, Value};
 
 const AGENTS: usize = 8;
 const STOPS: usize = 3;
 const SEED: u64 = 0x10_0B_AC_4E;
-
-/// Same touring agent as the trace-tour suite: binds the local `jobs`
-/// buffer at every stop, puts one item, moves on, and returns its hop
-/// count from the last stop — so the equivalence check covers transfer,
-/// admission, bind, and access paths, not just migration.
-const TOURIST: &str = r#"
-    module tracetour
-    import env.go_tour (bytes, bytes) -> int
-    import env.itin_tail (bytes) -> bytes
-    import env.get_resource (bytes) -> int
-    import env.invoke (int, bytes, bytes) -> bytes
-    import env.args_b (bytes) -> bytes
-    global itin: bytes
-    global hops: int
-    data entry = "run"
-    data rname = "ajn://tour.org/resource/jobs"
-    data mput = "put"
-    data item = "trace-probe"
-
-    func run(arg: bytes) -> int
-      locals full: bytes, h: int
-      gload hops
-      push 1
-      add
-      gstore hops
-      pushd rname
-      hostcall env.get_resource
-      store h
-      load h
-      pushd mput
-      pushd item
-      hostcall env.args_b
-      hostcall env.invoke
-      drop
-      gload itin
-      blen
-      jz done
-      gload itin
-      store full
-      gload itin
-      hostcall env.itin_tail
-      gstore itin
-      load full
-      pushd entry
-      hostcall env.go_tour
-      drop
-      push 0
-      ret
-    done:
-      gload hops
-      ret
-"#;
-
-fn tourist_image(tour: &Itinerary) -> AgentImage {
-    let (_, rest) = tour.clone().next_stop();
-    let module = assemble(TOURIST).expect("tourist assembles");
-    let image = AgentImage {
-        module,
-        globals: vec![Value::Bytes(rest.encode()), Value::Int(0)],
-        entry: "run".into(),
-    };
-    image.validate().expect("tourist image consistent");
-    image
-}
 
 /// What one world run *did*, stripped of all timing: per-agent report
 /// statuses, and per-agent sorted lifecycle events tagged with the

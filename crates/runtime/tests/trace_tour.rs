@@ -12,74 +12,11 @@ use ajanta_core::{BoundedBuffer, Guarded, ProxyPolicy, Rights};
 use ajanta_naming::Urn;
 use ajanta_net::LinkFault;
 use ajanta_runtime::itinerary::Itinerary;
+use ajanta_runtime::multiproc::tourist_image;
 use ajanta_runtime::{
     scan_anomalies, Anomaly, Counter, HistoPath, ReportStatus, RetryPolicy, SpanKind, TraceForest,
     World,
 };
-use ajanta_vm::{assemble, AgentImage, Value};
-
-/// A touring agent that, at every stop, binds the local `jobs` buffer,
-/// puts one item into it, and moves on — so each hop produces Bind and
-/// Access spans under that hop's Admission, not just transfer traffic.
-const TRACED_TOURIST: &str = r#"
-    module tracetour
-    import env.go_tour (bytes, bytes) -> int
-    import env.itin_tail (bytes) -> bytes
-    import env.get_resource (bytes) -> int
-    import env.invoke (int, bytes, bytes) -> bytes
-    import env.args_b (bytes) -> bytes
-    global itin: bytes
-    global hops: int
-    data entry = "run"
-    data rname = "ajn://tour.org/resource/jobs"
-    data mput = "put"
-    data item = "trace-probe"
-
-    func run(arg: bytes) -> int
-      locals full: bytes, h: int
-      gload hops
-      push 1
-      add
-      gstore hops
-      pushd rname
-      hostcall env.get_resource
-      store h
-      load h
-      pushd mput
-      pushd item
-      hostcall env.args_b
-      hostcall env.invoke
-      drop
-      gload itin
-      blen
-      jz done
-      gload itin
-      store full
-      gload itin
-      hostcall env.itin_tail
-      gstore itin
-      load full
-      pushd entry
-      hostcall env.go_tour
-      drop
-      push 0
-      ret
-    done:
-      gload hops
-      ret
-"#;
-
-fn tourist_image(tour: &Itinerary) -> AgentImage {
-    let (_, rest) = tour.clone().next_stop();
-    let module = assemble(TRACED_TOURIST).expect("tourist assembles");
-    let image = AgentImage {
-        module,
-        globals: vec![Value::Bytes(rest.encode()), Value::Int(0)],
-        entry: "run".into(),
-    };
-    image.validate().expect("tourist image consistent");
-    image
-}
 
 /// Collects reports at `home` until `agents` distinct agents have
 /// reported or the deadline passes.
@@ -108,7 +45,6 @@ fn lossy_tour_reconstructs_complete_trace_trees() {
         .retry(RetryPolicy {
             max_attempts: 14,
             ack_grace: Duration::from_millis(10),
-            ..RetryPolicy::default()
         })
         .journal_capacity(1 << 16)
         .build();
