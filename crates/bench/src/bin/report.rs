@@ -6,13 +6,35 @@
 //! cargo run --release -p ajanta-bench --bin report -- quick   # small sizes
 //! cargo run --release -p ajanta-bench --bin report -- substrate quick
 //! ```
+//!
+//! An unknown tag exits with status 2 and the list of valid tags; a JSON
+//! summary that cannot be written exits with status 1.
 
 use ajanta_bench as bench;
 use ajanta_net::LinkModel;
 use ajanta_workloads::records::RecordSpec;
 
+/// Every table tag, in print order (`quick` is a size modifier).
+const TAGS: &str = "substrate x3 x4 x4b x5 x6 x7 x8 x9 x10 x11 x12 x13f x14 x15 x16 x17 x18 x19";
+
+/// Writes a `<TAG>_JSON` summary, exiting with status 1 when it fails.
+fn write_json(tag: &str, path: &str, json: String) {
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("{tag}: failed to write {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("{tag}: JSON summary written to {path}");
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = args
+        .iter()
+        .find(|a| *a != "quick" && !TAGS.split(' ').any(|t| t == a.as_str()))
+    {
+        eprintln!("report: unknown tag {bad:?}; valid tags: {TAGS} (plus the size modifier quick)");
+        std::process::exit(2);
+    }
     let quick = args.iter().any(|a| a == "quick");
     let wants =
         |tag: &str| args.is_empty() || args.iter().any(|a| a == tag) || (args.len() == 1 && quick);
@@ -176,12 +198,11 @@ fn main() {
         println!();
         // CI artifact: X16_JSON=<path> writes a machine-readable summary.
         if let Ok(path) = std::env::var("X16_JSON") {
-            let json = bench::x16_sched::json_summary(&resident, &workers);
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("x16: failed to write {path}: {e}");
-            } else {
-                eprintln!("x16: JSON summary written to {path}");
-            }
+            write_json(
+                "x16",
+                &path,
+                bench::x16_sched::json_summary(&resident, &workers),
+            );
         }
     }
     if wants("x17") {
@@ -201,12 +222,7 @@ fn main() {
         println!();
         // CI artifact: X18_JSON=<path> writes a machine-readable summary.
         if let Ok(path) = std::env::var("X18_JSON") {
-            let json = bench::x18_wirepath::json_summary(&rows);
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("x18: failed to write {path}: {e}");
-            } else {
-                eprintln!("x18: JSON summary written to {path}");
-            }
+            write_json("x18", &path, bench::x18_wirepath::json_summary(&rows));
         }
     }
     if wants("x19") {
@@ -218,12 +234,11 @@ fn main() {
         println!();
         // CI artifact: X19_JSON=<path> writes a machine-readable summary.
         if let Ok(path) = std::env::var("X19_JSON") {
-            let json = bench::x19_durability::json_summary(&rows, &replay);
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("x19: failed to write {path}: {e}");
-            } else {
-                eprintln!("x19: JSON summary written to {path}");
-            }
+            write_json(
+                "x19",
+                &path,
+                bench::x19_durability::json_summary(&rows, &replay),
+            );
         }
     }
 }

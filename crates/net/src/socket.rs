@@ -20,15 +20,15 @@
 //!    arrival instant from its own clock.
 //!
 //! The transport clock is *wall-clock nanoseconds since the UNIX
-//! epoch*, advanced by a ticker thread and at every send/receive: all
-//! processes on one machine therefore share a clock epoch, which keeps
-//! cross-process hop latencies and the sealed-datagram replay window
-//! meaningful. (The [`crate::datagram::ReplayGuard`] only rejects
-//! *stale* timestamps, so a receiver whose clock trails a sender's by
-//! a tick never false-positives.) The wall is sampled **once**, at
-//! bind, and extended by the monotonic clock thereafter ([`WallAnchor`]
-//! internally) — a backwards NTP step after bind therefore cannot stall
-//! the transport clock or freeze frame timestamps.
+//! epoch*, read on demand ([`VClock::wall`]): all processes on one
+//! machine therefore share a clock epoch, which keeps cross-process hop
+//! latencies and the sealed-datagram replay window meaningful, and time
+//! passes on a quiet network as it does on a busy one. (The
+//! [`crate::datagram::ReplayGuard`] only rejects *stale* timestamps, so
+//! a receiver whose clock trails a sender's never false-positives.) The
+//! wall is sampled **once**, at bind, and extended by the monotonic
+//! clock thereafter — a backwards NTP step after bind therefore cannot
+//! stall the transport clock or freeze frame timestamps.
 //!
 //! **The outbound data plane is batched.** `send_as` never touches a
 //! socket: it encodes the frame body into the destination peer's
@@ -74,61 +74,13 @@ use crate::sim::{Delivery, NetError, NetStats};
 use crate::time::VClock;
 use crate::transport::{FrameRejectHook, NetEndpoint, Transport, TransportKind, WriteBatchHook};
 
-/// Clock-ticker cadence while traffic is flowing.
-const TICK: Duration = Duration::from_millis(1);
-/// Parked ticker / idle writer backstop wakeup, bounding how stale the
+/// Idle writer backstop wakeup, bounding how stale the
 /// stop flag can go unnoticed.
 const PARK_BACKSTOP: Duration = Duration::from_millis(250);
 /// Blocked reads wake this often to check for shutdown.
 const READ_POLL: Duration = Duration::from_millis(100);
 /// Bound on waiting for a handshake message.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Wall-clock nanoseconds since the UNIX epoch — sampled exactly once,
-/// when a [`WallAnchor`] is created.
-fn wall_now_ns() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0)
-}
-
-/// A monotonic extension of one wall-clock sample.
-///
-/// The transport stamps every frame with "wall nanoseconds", but
-/// `SystemTime` is not monotone: an NTP step (or a VM resume) can move
-/// it backwards, and a naive `advance_to(wall_now_ns())` would then pin
-/// the transport clock for the whole regression window — freezing hop
-/// latencies at zero and aging every outbound datagram toward the
-/// receiver's replay horizon. So the wall is read once, here, and all
-/// later "wall" reads are `epoch + Instant::elapsed()`: same epoch, but
-/// immune to steps in either direction.
-struct WallAnchor {
-    epoch_wall_ns: u64,
-    epoch: std::time::Instant,
-}
-
-impl WallAnchor {
-    fn new() -> Self {
-        Self::at(wall_now_ns())
-    }
-
-    /// Anchors at an explicit epoch (tests simulate clock steps with
-    /// this; production code uses [`WallAnchor::new`]).
-    fn at(epoch_wall_ns: u64) -> Self {
-        WallAnchor {
-            epoch_wall_ns,
-            epoch: std::time::Instant::now(),
-        }
-    }
-
-    /// Wall nanoseconds now: the bind-time epoch plus monotonic elapsed
-    /// time. Never decreases between calls.
-    fn now_ns(&self) -> u64 {
-        self.epoch_wall_ns
-            .saturating_add(self.epoch.elapsed().as_nanos() as u64)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Addresses
@@ -422,10 +374,8 @@ pub struct SocketConfig {
 
 struct SockInner {
     kind: TransportKind,
+    /// Wall time, read on demand ([`VClock::wall`]).
     clock: VClock,
-    /// The one wall-clock sample this transport ever takes, extended
-    /// monotonically — see [`WallAnchor`].
-    wall: WallAnchor,
     identity: ChannelIdentity,
     roots: RootOfTrust,
     rng: Mutex<DetRng>,
@@ -441,12 +391,6 @@ struct SockInner {
     reject: Mutex<Option<FrameRejectHook>>,
     write_hook: Mutex<Option<WriteBatchHook>>,
     stop: AtomicBool,
-    /// Bumped by every send/receive; the ticker parks when it stops
-    /// moving instead of spinning the clock forward for nobody.
-    activity: AtomicU64,
-    ticker_parked: AtomicBool,
-    tick_lock: Mutex<()>,
-    tick_cv: Condvar,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
@@ -474,20 +418,6 @@ impl SockInner {
         }
     }
 
-    /// Advances the clock to the wall instant and returns it. Also
-    /// marks the transport active, unparking the ticker if it idled.
-    fn touch_clock(&self) -> u64 {
-        self.clock.advance_to(self.wall.now_ns());
-        self.activity.fetch_add(1, Ordering::Release);
-        if self.ticker_parked.load(Ordering::Acquire) {
-            // Notify under the ticker's lock so the wakeup can't slip
-            // between its activity re-check and its wait.
-            let _guard = self.tick_lock.lock();
-            self.tick_cv.notify_all();
-        }
-        self.clock.now()
-    }
-
     /// Tracks a spawned thread for join-at-shutdown, reaping handles of
     /// threads that already finished so connection churn cannot grow
     /// the list without bound.
@@ -502,7 +432,7 @@ impl SockInner {
         let sender = self.endpoints.lock().get(&frame.to).cloned();
         match sender {
             Some(tx) => {
-                let arrival_ns = self.touch_clock();
+                let arrival_ns = self.clock.now();
                 let size = frame.payload.len() as u64;
                 // Count before the handoff so a receiver that already
                 // holds the delivery never reads a stale counter; the
@@ -555,7 +485,7 @@ impl SockInner {
         let ack = read_one_frame(self, &mut stream, HANDSHAKE_TIMEOUT)
             .map_err(|e| NetError::Io(format!("handshake with {peer}: {e}")))?;
         let chan = pending
-            .finish(&self.roots, &ack, self.touch_clock())
+            .finish(&self.roots, &ack, self.clock.now())
             .map_err(|e| NetError::Io(format!("handshake with {peer} failed: {e}")))?;
         let (send_half, recv_half) = chan.split();
 
@@ -669,7 +599,6 @@ impl SockInner {
         self.stats
             .bytes_sent
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        self.touch_clock();
 
         // The adversary sits on the (conceptual) wire, before sealing —
         // the same position it occupies on the simulation.
@@ -881,7 +810,7 @@ fn inbound_loop(inner: Arc<SockInner>, mut stream: Stream) {
             return;
         }
     };
-    let now = inner.touch_clock();
+    let now = inner.clock.now();
     let respond = {
         let mut rng = inner.rng.lock();
         SecureChannel::respond(&inner.identity, &inner.roots, &hello, now, &mut rng)
@@ -993,20 +922,16 @@ pub struct SocketTransport {
 impl SocketTransport {
     /// Binds a listener on `addr` (`tcp:127.0.0.1:0` picks an
     /// ephemeral port; a `uds:` path must not exist yet) and starts
-    /// the accept and clock-ticker threads.
+    /// the accept thread.
     pub fn bind(addr: &NetAddr, config: SocketConfig) -> std::io::Result<SocketTransport> {
         let (listener, local) = Listener::bind(addr)?;
         let kind = match local {
             NetAddr::Tcp(_) => TransportKind::Tcp,
             NetAddr::Uds(_) => TransportKind::Uds,
         };
-        let clock = VClock::new();
-        let wall = WallAnchor::new();
-        clock.advance_to(wall.now_ns());
         let inner = Arc::new(SockInner {
             kind,
-            clock,
-            wall,
+            clock: VClock::wall(),
             identity: config.identity,
             roots: config.roots,
             rng: Mutex::new(DetRng::new(config.seed)),
@@ -1020,10 +945,6 @@ impl SocketTransport {
             reject: Mutex::new(None),
             write_hook: Mutex::new(None),
             stop: AtomicBool::new(false),
-            activity: AtomicU64::new(0),
-            ticker_parked: AtomicBool::new(false),
-            tick_lock: Mutex::new(()),
-            tick_cv: Condvar::new(),
             threads: Mutex::new(Vec::new()),
         });
 
@@ -1032,38 +953,7 @@ impl SocketTransport {
             .name("ajanta-accept".into())
             .spawn(move || accept_loop(accept_inner, listener))
             .expect("spawn accept thread");
-        let tick_inner = Arc::clone(&inner);
-        let ticker = std::thread::Builder::new()
-            .name("ajanta-clock".into())
-            .spawn(move || {
-                // Tick the clock forward while traffic flows; park when
-                // the activity counter stops moving (every send/receive
-                // advances the clock itself, so an idle transport needs
-                // no ticking — and no 1 ms wakeups).
-                let mut last = u64::MAX;
-                while !tick_inner.stop.load(Ordering::Acquire) {
-                    let seen = tick_inner.activity.load(Ordering::Acquire);
-                    if seen == last {
-                        tick_inner.ticker_parked.store(true, Ordering::Release);
-                        let guard = tick_inner.tick_lock.lock();
-                        if tick_inner.activity.load(Ordering::Acquire) == last
-                            && !tick_inner.stop.load(Ordering::Acquire)
-                        {
-                            let _ = tick_inner.tick_cv.wait_timeout(guard, PARK_BACKSTOP);
-                        }
-                        tick_inner.ticker_parked.store(false, Ordering::Release);
-                        continue;
-                    }
-                    last = seen;
-                    tick_inner.clock.advance_to(tick_inner.wall.now_ns());
-                    std::thread::sleep(TICK);
-                }
-            })
-            .expect("spawn ticker thread");
-        {
-            let mut threads = inner.threads.lock();
-            threads.extend([accept, ticker]);
-        }
+        inner.threads.lock().push(accept);
         Ok(SocketTransport { inner })
     }
 
@@ -1151,12 +1041,8 @@ impl Transport for SocketTransport {
         if self.inner.stop.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Unpark the ticker and every lane writer so they observe the
-        // stop flag now instead of at their next backstop timeout.
-        {
-            let _guard = self.inner.tick_lock.lock();
-            self.inner.tick_cv.notify_all();
-        }
+        // Wake every lane writer so it observes the stop flag now
+        // instead of at its next backstop timeout.
         for link in self.inner.links.lock().values() {
             let _guard = link.tx.lock();
             link.wake.notify_all();
@@ -1196,31 +1082,21 @@ impl NetEndpoint for SocketEndpoint {
         &self.rx
     }
 
+    // Arrivals are stamped from this transport's own wall clock, which
+    // has already passed them: receiving needs no clock advance.
     fn recv(&self) -> Result<Delivery, NetError> {
-        let d = self.rx.recv().map_err(|_| NetError::Disconnected)?;
-        self.inner.clock.advance_to(d.arrival_ns);
-        Ok(d)
+        self.rx.recv().map_err(|_| NetError::Disconnected)
     }
 
     fn try_recv(&self) -> Result<Delivery, NetError> {
-        match self.rx.try_recv() {
-            Ok(d) => {
-                self.inner.clock.advance_to(d.arrival_ns);
-                Ok(d)
-            }
-            Err(TryRecvError::Empty) => Err(NetError::Empty),
-            Err(TryRecvError::Disconnected) => Err(NetError::Disconnected),
-        }
+        self.rx.try_recv().map_err(|e| match e {
+            TryRecvError::Empty => NetError::Empty,
+            TryRecvError::Disconnected => NetError::Disconnected,
+        })
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Delivery, NetError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(d) => {
-                self.inner.clock.advance_to(d.arrival_ns);
-                Ok(d)
-            }
-            Err(_) => Err(NetError::Empty),
-        }
+        self.rx.recv_timeout(timeout).map_err(|_| NetError::Empty)
     }
 }
 
@@ -1320,54 +1196,5 @@ mod tests {
         );
         ta.shutdown();
         tb.shutdown();
-    }
-
-    /// The regression the anchor exists for: before it, every
-    /// `touch_clock` resampled `SystemTime`, so an NTP step backwards
-    /// pinned the transport clock (`advance_to` is monotone) for the
-    /// whole regression window — frames all stamped identically, hop
-    /// latencies zero, outbound datagrams aging toward the peer's
-    /// replay horizon. The anchored clock takes one wall sample and
-    /// extends it monotonically, so a post-bind step in either
-    /// direction is invisible.
-    #[test]
-    fn transport_clock_survives_backwards_wall_step() {
-        // Bind-time wall reading: T0 = 10 s after the epoch.
-        let t0 = 10 * crate::time::SECONDS;
-        let anchor = WallAnchor::at(t0);
-        let clock = VClock::new();
-        clock.advance_to(anchor.now_ns());
-        let at_bind = clock.now();
-        assert!(at_bind >= t0);
-
-        // NTP now steps the wall back 5 s. A resampling implementation
-        // would feed this into advance_to and pin the clock until the
-        // wall catches back up.
-        let stepped_wall = t0 - 5 * crate::time::SECONDS;
-        clock.advance_to(stepped_wall); // monotone: pins, never regresses
-        assert_eq!(clock.now(), at_bind, "advance_to must never go back");
-
-        // The anchored clock keeps moving through the regression window.
-        std::thread::sleep(Duration::from_millis(5));
-        let after = clock.advance_to(anchor.now_ns());
-        assert!(
-            after > at_bind,
-            "anchored transport clock froze across a wall regression"
-        );
-        // And it stays on the bind-time epoch, not the stepped one.
-        assert!(after > stepped_wall + 4 * crate::time::SECONDS);
-    }
-
-    /// Two samples of the same anchor never run backwards, regardless
-    /// of what `SystemTime` does in between (it is never re-read).
-    #[test]
-    fn wall_anchor_is_monotone() {
-        let anchor = WallAnchor::new();
-        let mut last = anchor.now_ns();
-        for _ in 0..1000 {
-            let next = anchor.now_ns();
-            assert!(next >= last);
-            last = next;
-        }
     }
 }

@@ -83,9 +83,10 @@ pub type WriteBatchHook = Arc<dyn Fn(u64) + Send + Sync>;
 ///
 /// The trait mirrors [`Endpoint`]'s inherent API so the server loop can
 /// `select!` over [`NetEndpoint::receiver`] exactly as it always did.
-/// `recv`/`try_recv`/`recv_timeout` advance the transport clock to the
-/// delivery's arrival instant; draining `receiver()` directly does not
-/// (the caller must `advance_to` itself).
+/// `recv`/`try_recv`/`recv_timeout` leave the transport clock at or past
+/// the delivery's arrival instant; draining `receiver()` directly does
+/// not advance a virtual clock (the caller must `advance_to` itself). A
+/// wall clock has already passed every arrival it stamped.
 pub trait NetEndpoint: Send {
     /// The endpoint's global name.
     fn name(&self) -> &Urn;

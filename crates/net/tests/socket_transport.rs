@@ -1,6 +1,7 @@
 //! Integration tests for the real socket transport: authenticated
 //! delivery over TCP and Unix-domain sockets, reconnect after a peer
-//! restart, hostile-bytes rejection, and handshake enforcement.
+//! restart, hostile-bytes rejection, handshake enforcement, and a clock
+//! that keeps wall time on an idle network.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -11,6 +12,7 @@ use ajanta_crypto::cert::Certificate;
 use ajanta_crypto::{DetRng, KeyPair, RootOfTrust};
 use ajanta_naming::Urn;
 use ajanta_net::secure::ChannelIdentity;
+use ajanta_net::time::MILLIS;
 use ajanta_net::{NetAddr, NetError, SocketConfig, SocketTransport, Transport};
 
 struct TestWorld {
@@ -247,4 +249,22 @@ fn untrusted_peers_fail_the_handshake() {
     );
     tm.shutdown();
     tb.shutdown();
+}
+
+/// A bound transport's clock reads the wall: it passes while no frame
+/// moves, so proxy leases expire and journal stamps advance on a quiet
+/// network.
+#[test]
+fn idle_transport_clock_keeps_wall_time() {
+    let mut w = TestWorld::new(61);
+    let t = w.bind(&server("idle"), &tcp_any());
+    let before = t.clock().now();
+    std::thread::sleep(Duration::from_millis(50));
+    let advanced = t.clock().now() - before;
+    assert!(
+        advanced >= 45 * MILLIS,
+        "the clock advanced {:.2} ms over a 50 ms idle sleep",
+        advanced as f64 / MILLIS as f64
+    );
+    t.shutdown();
 }

@@ -501,18 +501,7 @@ fn metrics(cli: &Cli) {
         for c in Counter::ALL {
             counters.push(format!("{}:{}", jstr(c.name()), merged.counters.get(c)));
         }
-        let shard_drops = merged
-            .counters
-            .shard_drops
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        println!(
-            "{{\"counters\":{{{}}},\"shard_drops\":[{}]}}",
-            counters.join(","),
-            shard_drops
-        );
+        println!("{{\"counters\":{{{}}}}}", counters.join(","));
     } else {
         print!("{}", merged.render());
     }

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ajanta_core::telemetry::{Record, TelemetrySnapshot};
+use ajanta_core::telemetry::TelemetrySnapshot;
 use ajanta_naming::Urn;
 use ajanta_net::frame::{encode_frame, FrameBuffer};
 use ajanta_net::socket::{Listener, NetAddr, Stream};
@@ -46,7 +46,7 @@ use crate::server::ControlView;
 
 /// Protocol version served and expected. Bumped on any incompatible
 /// change to the request/response encodings.
-pub const CONTROL_VERSION: u64 = 1;
+pub const CONTROL_VERSION: u64 = 2;
 
 /// Sanity cap on collection lengths inside control responses.
 const MAX_ITEMS: usize = 1 << 16;
@@ -834,7 +834,10 @@ fn agent_info(v: &ControlView, agent: &Urn) -> Option<AgentDetail> {
 
 fn journal_page(v: &ControlView, cursor: Option<u64>, max: usize) -> JournalPage {
     let journal = v.journal();
-    let mut records = match cursor {
+    // Read before the records: an empty page then resumes at a seq no
+    // later than anything appended while it was being read.
+    let next_seq = journal.next_seq();
+    let records = match cursor {
         // Tail: the newest `max`.
         None => journal.recent(max),
         // Follow: oldest-first from the cursor, capped.
@@ -844,13 +847,9 @@ fn journal_page(v: &ControlView, cursor: Option<u64>, max: usize) -> JournalPage
             r
         }
     };
-    // Read after the records, so every seq they show counts as taken.
-    let next_cursor = cut_at_publish_hole(
-        &mut records,
-        cursor,
-        journal.next_seq(),
-        journal.capacity() as u64,
-    );
+    let next_cursor = records
+        .last()
+        .map_or_else(|| cursor.unwrap_or(next_seq), |r| r.seq + 1);
     JournalPage {
         server: v.name().clone(),
         entries: records
@@ -867,33 +866,6 @@ fn journal_page(v: &ControlView, cursor: Option<u64>, max: usize) -> JournalPage
         next_cursor,
         dropped: journal.dropped(),
     }
-}
-
-/// Ends a page of `records` (ascending by seq) before the first hole
-/// eviction cannot explain, and returns the cursor to resume from. A
-/// record's seq is taken before the record lands in its shard, so a read
-/// can show seq `n + 1` while `n` is still on its way; a cursor moved
-/// past `n` would lose it for good. Eviction explains a missing seq
-/// once `seq + capacity < next_seq`, when enough appends have wrapped its
-/// shard; the cursor waits at any other hole until its record lands.
-fn cut_at_publish_hole(
-    records: &mut Vec<Record>,
-    cursor: Option<u64>,
-    next_seq: u64,
-    capacity: u64,
-) -> u64 {
-    let mut expected = cursor;
-    let hole = records.iter().position(|r| {
-        let unexplained = expected.is_some_and(|e| r.seq > e && r.seq - 1 + capacity >= next_seq);
-        expected = Some(r.seq + 1);
-        unexplained
-    });
-    if let Some(i) = hole {
-        records.truncate(i);
-    }
-    records
-        .last()
-        .map_or_else(|| cursor.unwrap_or(next_seq), |r| r.seq + 1)
 }
 
 /// The control socket server: an accept loop plus one thread per
@@ -1142,9 +1114,10 @@ impl JournalFollower {
 
     /// Ingests one page, advancing that server's cursor; returns the
     /// entries. Gap accounting: sequence numbers are dense per server,
-    /// so a first-entry seq beyond the cursor, or a hole *inside* the
-    /// page (shard eviction strikes anywhere in the retained range),
-    /// is explained only by growth of the server's drop counter.
+    /// so a first-entry seq beyond the cursor is explained only by
+    /// growth of the server's drop counter. A served page has no
+    /// interior hole, but a page is outside input, so a hole *inside*
+    /// it is checked against the same account.
     pub fn ingest(&mut self, page: &JournalPage) -> Vec<JournalEntry> {
         let prev_dropped = self.dropped_seen.get(&page.server).copied().unwrap_or(0);
         let mut gaps = 0u64;
@@ -1337,42 +1310,5 @@ mod tests {
         holed.next_cursor = 35;
         f.ingest(&holed);
         assert_eq!(f.unexplained_gaps, 10);
-    }
-
-    /// A read that shows seq 12 while 11 is still being published: the
-    /// page ends before 11 and the cursor waits there. Once `capacity`
-    /// more seqs are taken, 11 can only have been evicted and the page
-    /// steps over it.
-    #[test]
-    fn pages_stop_at_a_publish_hole() {
-        let record = |seq| Record {
-            seq,
-            at: 0,
-            severity: crate::Severity::Info,
-            event: crate::Event::AgentLog {
-                agent: urn("agent", "a"),
-                text: String::new(),
-            },
-        };
-        let seqs = |page: &[Record]| page.iter().map(|r| r.seq).collect::<Vec<_>>();
-
-        let mut page = vec![record(10), record(12)];
-        assert_eq!(cut_at_publish_hole(&mut page, Some(10), 13, 64), 11);
-        assert_eq!(seqs(&page), [10]);
-        // The hole sits at the cursor: nothing is served yet.
-        let mut page = vec![record(12)];
-        assert_eq!(cut_at_publish_hole(&mut page, Some(11), 13, 64), 11);
-        assert!(page.is_empty());
-        // A tail page is cut the same way.
-        let mut page = vec![record(10), record(12)];
-        assert_eq!(cut_at_publish_hole(&mut page, None, 13, 64), 11);
-        assert_eq!(seqs(&page), [10]);
-        // 11 + 64 >= 75: still possibly in flight.
-        let mut page = vec![record(10), record(12)];
-        assert_eq!(cut_at_publish_hole(&mut page, Some(10), 75, 64), 11);
-        // 11 + 64 < 76: evicted; the page serves past it.
-        let mut page = vec![record(10), record(12)];
-        assert_eq!(cut_at_publish_hole(&mut page, Some(10), 76, 64), 13);
-        assert_eq!(seqs(&page), [10, 12]);
     }
 }

@@ -48,6 +48,7 @@ use crate::custody::RetryPolicy;
 use crate::directory::Directory;
 use crate::itinerary::Itinerary;
 use crate::owner::Owner;
+use crate::sched::{default_workers, Scheduler};
 use crate::server::{AgentServer, ServerConfig, ServerHandle};
 
 /// The identities every process of a multi-process world derives from
@@ -239,6 +240,7 @@ pub fn run_child(opts: ChildOpts) -> Result<(), String> {
         transport.set_adversary(Some(Arc::new(fault)));
     }
 
+    let sched = Scheduler::new(default_workers());
     let server = AgentServer::spawn(
         Arc::clone(&transport) as Arc<dyn Transport>,
         ServerConfig {
@@ -267,7 +269,7 @@ pub fn run_child(opts: ChildOpts) -> Result<(), String> {
             },
             seed: derived.server_seeds[i],
             journal_capacity: 1 << 16,
-            scheduler: None,
+            scheduler: Arc::clone(&sched),
             wal: opts.wal.clone(),
             hibernate_after_misses: None,
         },
@@ -387,6 +389,7 @@ pub fn run_child(opts: ChildOpts) -> Result<(), String> {
         ctl.shutdown();
     }
     server.shutdown();
+    sched.stop();
     transport.shutdown();
     Ok(())
 }

@@ -108,7 +108,6 @@ pub struct Scheduler {
     idle_cv: Condvar,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     worker_count: usize,
-    slice_fuel: u64,
 }
 
 impl std::fmt::Debug for Scheduler {
@@ -121,14 +120,8 @@ impl std::fmt::Debug for Scheduler {
 }
 
 impl Scheduler {
-    /// Starts a pool of `workers` threads (at least 1) with the default
-    /// slice budget.
+    /// Starts a pool of `workers` threads (at least 1).
     pub fn new(workers: usize) -> Arc<Scheduler> {
-        Scheduler::with_slice_fuel(workers, DEFAULT_SLICE_FUEL)
-    }
-
-    /// Starts a pool with an explicit per-slice fuel budget.
-    pub fn with_slice_fuel(workers: usize, slice_fuel: u64) -> Arc<Scheduler> {
         let workers = workers.max(1);
         let sched = Arc::new(Scheduler {
             shards: std::array::from_fn(|_| Mutex::new(VecDeque::new())),
@@ -141,7 +134,6 @@ impl Scheduler {
             idle_cv: Condvar::new(),
             workers: Mutex::new(Vec::with_capacity(workers)),
             worker_count: workers,
-            slice_fuel: slice_fuel.max(1),
         });
         let mut handles = sched.workers.lock();
         for i in 0..workers {
@@ -160,11 +152,6 @@ impl Scheduler {
     /// The number of worker threads in the pool.
     pub fn workers(&self) -> usize {
         self.worker_count
-    }
-
-    /// The fuel budget granted per slice.
-    pub fn slice_fuel(&self) -> u64 {
-        self.slice_fuel
     }
 
     /// Current queue depths.

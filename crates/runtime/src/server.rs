@@ -42,7 +42,7 @@ use crate::directory::Directory;
 use crate::env::AgentEnv;
 use crate::itinerary::Itinerary;
 use crate::messages::{Ack, AgentStatus, Message, Report, ReportStatus};
-use crate::sched::{SchedDepths, Scheduler, Task};
+use crate::sched::{SchedDepths, Scheduler, Task, DEFAULT_SLICE_FUEL};
 use crate::vmres::VmResource;
 
 /// Replay-guard freshness window (virtual ns) of every server: a quarter
@@ -101,11 +101,10 @@ pub struct ServerConfig {
     /// rejections, agent log lines, lifecycle and charge events share
     /// this bound; aggregate counters stay exact past it).
     pub journal_capacity: usize,
-    /// The cooperative scheduler agents execute on. `None` makes the
-    /// server start (and own) a private pool sized to the machine's
-    /// parallelism; a [`crate::World`] passes one shared pool to every
-    /// server so the whole world runs on `workers` threads.
-    pub scheduler: Option<Arc<Scheduler>>,
+    /// The cooperative scheduler agents execute on. A [`crate::World`]
+    /// passes one shared pool to every server so the whole world runs
+    /// on `workers` threads; whoever creates the pool stops it.
+    pub scheduler: Arc<Scheduler>,
     /// Path of the admission write-ahead log, or `None` for a purely
     /// in-memory server. With a WAL, every admission is logged before its
     /// ack leaves and a restarted server replays unresolved admissions —
@@ -1034,9 +1033,6 @@ pub struct ServerHandle {
     view: ControlView,
     ctrl: Sender<Control>,
     join: Option<std::thread::JoinHandle<()>>,
-    /// Whether this handle started (and must stop) a private scheduler,
-    /// as opposed to borrowing a world-shared one.
-    owns_sched: bool,
 }
 
 impl std::ops::Deref for ServerHandle {
@@ -1191,16 +1187,12 @@ impl ServerHandle {
         self.view.shared.local_mail(from, to, data)
     }
 
-    /// Stops the server loop and joins its thread. A privately owned
-    /// scheduler is drained and stopped too; a world-shared one is left
-    /// to [`crate::World::shutdown`].
+    /// Stops the server loop and joins its thread. The scheduler is
+    /// left to whoever created it (see [`ServerConfig::scheduler`]).
     pub fn shutdown(mut self) {
         let _ = self.ctrl.send(Control::Shutdown);
         if let Some(join) = self.join.take() {
             let _ = join.join();
-        }
-        if self.owns_sched {
-            self.view.shared.sched.stop();
         }
     }
 }
@@ -1366,10 +1358,6 @@ impl AgentServer {
                 .with_span_tag(tag),
         );
         let monitor = HostMonitor::with_journal(Arc::clone(&journal), config.agents_may_dispatch);
-        let (sched, owns_sched) = match config.scheduler {
-            Some(s) => (s, false),
-            None => (Scheduler::new(crate::sched::default_workers()), true),
-        };
         // Crash recovery happens before the loop starts: read whatever
         // log a previous incarnation left, then reopen it for appending.
         // Resolved keys pre-seed the duplicate filter (peer retries of
@@ -1404,7 +1392,7 @@ impl AgentServer {
             system_modules: config.system_modules,
             agent_limits: config.agent_limits,
             vm_limits: config.vm_limits,
-            sched,
+            sched: config.scheduler,
             mailboxes: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             journal,
             reports: Mutex::new(Vec::new()),
@@ -1460,7 +1448,6 @@ impl AgentServer {
             view: ControlView { shared },
             ctrl: ctrl_tx,
             join: Some(join),
-            owns_sched,
         }
     }
 }
@@ -2073,11 +2060,10 @@ impl Task for AgentTask {
                 interp: Box::new(interp),
             };
         }
-        let slice_fuel = self.shared.sched.slice_fuel();
         let TaskState::Warm { env, interp } = &mut self.state else {
             return true; // Done: defensive, a finished task is never requeued
         };
-        match interp.run_slice(slice_fuel, &mut **env) {
+        match interp.run_slice(DEFAULT_SLICE_FUEL, &mut **env) {
             SliceOutcome::Yielded => self.try_hibernate(),
             SliceOutcome::Done(outcome) => {
                 let TaskState::Warm { env, interp } =

@@ -18,6 +18,7 @@
 //! can lose a buffered record). Replay is total: a torn final record —
 //! the normal result of a crash mid-append — ends the scan cleanly.
 
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -132,31 +133,35 @@ impl AdmissionWal {
     }
 
     /// Splits replayed records into settled keys and still-open
-    /// admissions: every `(agent, hop)` that ever appeared (admissions
-    /// *and* resolutions — both must seed the duplicate filter), plus
-    /// the admissions with no matching resolution, in log order.
+    /// admissions: every resolved `(agent, hop)` once, in the order of
+    /// its first resolution, plus the admissions with no later matching
+    /// resolution, in log order (a re-admitted key keeps its newest
+    /// bundle, at that bundle's position). One pass over the log.
     pub fn recover(records: Vec<WalRecord>) -> WalRecovery {
+        // Open admissions by key: the newest Admit's log position and
+        // bundle.
+        let mut open: HashMap<(Urn, u64), (usize, AgentBundle)> = HashMap::new();
+        let mut settled: HashSet<(Urn, u64)> = HashSet::new();
         let mut resolved: Vec<(Urn, u64)> = Vec::new();
-        let mut admitted: Vec<AgentBundle> = Vec::new();
-        for record in records {
+        for (pos, record) in records.into_iter().enumerate() {
             match record {
                 WalRecord::Admit(bundle) => {
-                    // Re-admission of a key (same agent re-logged after
-                    // its own restart replay) keeps the newest bundle.
-                    admitted.retain(|b| !(b.agent == bundle.agent && b.hop == bundle.hop));
-                    admitted.push(*bundle);
+                    open.insert((bundle.agent.clone(), bundle.hop), (pos, *bundle));
                 }
                 WalRecord::Resolve { agent, hop } => {
-                    admitted.retain(|b| !(b.agent == agent && b.hop == hop));
-                    if !resolved.iter().any(|(a, h)| *a == agent && *h == hop) {
-                        resolved.push((agent, hop));
+                    let key = (agent, hop);
+                    open.remove(&key);
+                    if settled.insert(key.clone()) {
+                        resolved.push(key);
                     }
                 }
             }
         }
+        let mut unresolved: Vec<(usize, AgentBundle)> = open.into_values().collect();
+        unresolved.sort_unstable_by_key(|(pos, _)| *pos);
         WalRecovery {
             resolved,
-            unresolved: admitted,
+            unresolved: unresolved.into_iter().map(|(_, bundle)| bundle).collect(),
         }
     }
 }

@@ -207,7 +207,7 @@ impl WorldBuilder {
                 retry: self.retry.clone(),
                 seed,
                 journal_capacity: self.journal_capacity,
-                scheduler: Some(Arc::clone(&sched)),
+                scheduler: Arc::clone(&sched),
                 wal: self
                     .wal_dir
                     .as_ref()

@@ -3,7 +3,9 @@
 //! total, and WAL recovery is idempotent — replaying a log any number
 //! of times admits each `(agent, hop)` at most once and never
 //! resurrects a resolved admission. A torn tail (the crash the WAL
-//! exists for) loses only the torn record, never the intact prefix.
+//! exists for) loses only the torn record, never the intact prefix. The
+//! one-pass `recover` agrees with a quadratic reference model on random
+//! logs.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -142,6 +144,29 @@ fn key(b: &AgentBundle) -> (Urn, u64) {
     (b.agent.clone(), b.hop)
 }
 
+/// The reference model of `AdmissionWal::recover`: the original
+/// quadratic algorithm, a `retain` over the open admissions per record
+/// and a linear scan of the resolved keys per resolution.
+fn reference_recover(records: Vec<WalRecord>) -> (Vec<(Urn, u64)>, Vec<AgentBundle>) {
+    let mut resolved: Vec<(Urn, u64)> = Vec::new();
+    let mut admitted: Vec<AgentBundle> = Vec::new();
+    for record in records {
+        match record {
+            WalRecord::Admit(bundle) => {
+                admitted.retain(|b| !(b.agent == bundle.agent && b.hop == bundle.hop));
+                admitted.push(*bundle);
+            }
+            WalRecord::Resolve { agent, hop } => {
+                admitted.retain(|b| !(b.agent == agent && b.hop == hop));
+                if !resolved.iter().any(|(a, h)| *a == agent && *h == hop) {
+                    resolved.push((agent, hop));
+                }
+            }
+        }
+    }
+    (resolved, admitted)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -184,6 +209,44 @@ proptest! {
             }
             other => prop_assert!(false, "expected BadTag, got {:?}", other.map(|_| "Ok")),
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On random logs over a few keys — duplicate admissions, resolves
+    /// of keys never admitted, repeated resolves, and re-admissions
+    /// after a resolve — `recover` returns exactly what the reference
+    /// model does: the same resolved keys in the same order, and the
+    /// same open bundles (the newest per key) in the same order.
+    #[test]
+    fn wal_recover_matches_the_reference_model(
+        template in bundle(),
+        ops in proptest::collection::vec((any::<bool>(), 0u8..5, 0u64..3), 0..80),
+    ) {
+        let records: Vec<WalRecord> = ops
+            .iter()
+            .enumerate()
+            .map(|(pos, &(admit, agent, hop))| {
+                let agent = Urn::agent("x.org", [format!("a{agent}")]).unwrap();
+                if admit {
+                    // The position tags each bundle, so a stale one
+                    // kept in place of the newest shows.
+                    let mut b = template.clone();
+                    b.agent = agent;
+                    b.hop = hop;
+                    b.arg = (pos as u64).to_le_bytes().to_vec();
+                    WalRecord::Admit(Box::new(b))
+                } else {
+                    WalRecord::Resolve { agent, hop }
+                }
+            })
+            .collect();
+        let (resolved, unresolved) = reference_recover(records.clone());
+        let got = AdmissionWal::recover(records);
+        prop_assert_eq!(got.resolved, resolved);
+        prop_assert_eq!(got.unresolved, unresolved);
     }
 }
 

@@ -12,7 +12,7 @@ use ajanta_core::{
 use ajanta_naming::Urn;
 use ajanta_net::Tamperer;
 use ajanta_runtime::itinerary::Itinerary;
-use ajanta_runtime::{Counter, Event, RejectKind, ReportStatus, World};
+use ajanta_runtime::{Counter, Event, RejectKind, ReportStatus, TransportMode, World};
 use ajanta_vm::{assemble, AgentImage, Limits, Value};
 use ajanta_wire::Wire;
 
@@ -445,6 +445,73 @@ fn dynamic_extension_agent_installs_resource() {
         .launch(world.server(1).name().clone(), creds2, img2);
     let reports = world.server(0).wait_reports(2, WAIT);
     assert_eq!(reports[1].status, ReportStatus::Completed("8".into()));
+    world.shutdown();
+}
+
+/// Spins on `env.time` for at most 1,000,000 calls and returns how many
+/// nanoseconds it saw pass, stopping early once 10 ms have. (A release
+/// build needs tens of thousands of calls to see 10 ms; a debug build a
+/// few thousand.)
+const CLOCKWATCH: &str = r#"
+    module clockwatch
+    import env.time () -> int
+    func run(arg: bytes) -> int
+      locals t0: int, dt: int, n: int
+      hostcall env.time
+      store t0
+      push 1000000
+      store n
+    loop:
+      hostcall env.time
+      load t0
+      sub
+      store dt
+      load dt
+      push 10000000
+      lt
+      jz done
+      load n
+      push 1
+      sub
+      dup
+      store n
+      jz done
+      jump loop
+    done:
+      load dt
+      ret
+"#;
+
+/// On a socket world, time passes while an agent computes: no frame
+/// moves during the spin, yet `env.time` must follow the wall.
+#[test]
+fn agent_sees_wall_time_pass_on_a_quiet_socket_world() {
+    let mut world = World::builder(2)
+        .transport(TransportMode::Uds)
+        .vm_limits(Limits {
+            fuel: u64::MAX,
+            ..Limits::default()
+        })
+        .build();
+    let mut owner = world.owner("ivan");
+    let agent = owner.next_agent_name("clockwatch");
+    let home = world.server(0).name().clone();
+    let creds = owner.credentials(agent, home, Rights::all(), u64::MAX);
+    world.server(0).launch(
+        world.server(1).name().clone(),
+        creds,
+        image(CLOCKWATCH, vec![], "run"),
+    );
+    let reports = world.server(0).wait_reports(1, WAIT);
+    assert_eq!(reports.len(), 1);
+    let ReportStatus::Completed(seen) = &reports[0].status else {
+        panic!("clockwatch did not complete: {:?}", reports[0].status);
+    };
+    let seen: u64 = seen.parse().unwrap();
+    assert!(
+        seen >= 10_000_000,
+        "1,000,000 env.time calls saw only {seen} ns pass"
+    );
     world.shutdown();
 }
 

@@ -12,9 +12,9 @@ use ajanta_runtime::{ControlResponse, Event, JournalFollower, World};
 const WAIT: Duration = Duration::from_secs(20);
 
 /// Four threads append to one server's journal while a follower pages
-/// it through `serve_request`. Appends publish out of seq order, so
-/// pages keep meeting holes that are still being filled; the follower
-/// must still see every seq exactly once and raise no gap alarm.
+/// it through `serve_request`. Pages race the appends, cursor by
+/// cursor; the follower must still see every seq exactly once and raise
+/// no gap alarm.
 #[test]
 fn follow_under_concurrent_appends_loses_nothing() {
     const APPENDERS: u64 = 4;

@@ -2,11 +2,13 @@
 //!
 //! * below capacity, concurrent appenders lose nothing;
 //! * sequence numbers are unique and records collate in monotone order;
+//! * a record is visible only with every lower seq, so a follower's
+//!   `since` page is dense from its cursor even under concurrent appends;
 //! * past capacity, memory stays bounded and every eviction is counted
 //!   exactly — in the journal's own drop counter and in the server's
 //!   end-to-end configuration.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use ajanta::core::telemetry::{Counter, Event, Journal, RejectKind};
@@ -82,10 +84,62 @@ fn single_threaded_eviction_keeps_the_newest_records() {
     }
     assert_eq!(journal.len(), 32);
     assert_eq!(journal.dropped(), 500 - 32);
-    // Round-robin sharding means single-threaded eviction is exact FIFO:
-    // precisely the newest 32 survive.
+    // Eviction is exact FIFO: precisely the newest 32 survive.
     let seqs: Vec<u64> = journal.snapshot().iter().map(|r| r.seq).collect();
     assert_eq!(seqs, (468..500).collect::<Vec<_>>());
+}
+
+/// Four threads append while a reader follows with `since`: every page
+/// must start at the reader's cursor and continue without a gap. Nothing
+/// is evicted, so any hole would be a record whose seq was visible
+/// before a lower one was.
+#[test]
+fn since_pages_are_dense_under_concurrent_appenders() {
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 10_000;
+    let total = THREADS * PER_THREAD;
+    let journal = Arc::new(Journal::with_capacity(total as usize));
+    let start = Arc::new(Barrier::new(THREADS as usize + 1));
+    let appenders: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (journal, start) = (Arc::clone(&journal), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 0..PER_THREAD {
+                    journal.append(reject(t * PER_THREAD + i));
+                    // Interleave with the reader, so pages race appends.
+                    if i % 16 == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            })
+        })
+        .collect();
+    start.wait();
+    let (mut cursor, mut pages) = (0u64, 0u64);
+    let mut holed: Vec<(u64, Vec<u64>)> = Vec::new();
+    while cursor < total {
+        let page = journal.since(cursor);
+        let Some(last) = page.last() else {
+            std::thread::yield_now();
+            continue;
+        };
+        pages += 1;
+        if !page.iter().zip(cursor..).all(|(r, seq)| r.seq == seq) {
+            holed.push((cursor, page.iter().take(6).map(|r| r.seq).collect()));
+        }
+        cursor = last.seq + 1;
+    }
+    for a in appenders {
+        a.join().unwrap();
+    }
+    assert_eq!(journal.dropped(), 0);
+    assert!(
+        holed.is_empty(),
+        "{} of {pages} pages were not dense from their cursor, e.g. (cursor, first seqs) {:?}",
+        holed.len(),
+        &holed[..holed.len().min(3)]
+    );
 }
 
 /// A tiny agent that logs `lines` lines, then returns.
@@ -122,10 +176,7 @@ fn server_journal_is_bounded_end_to_end() {
     assert_eq!(reports.len(), 1);
 
     let journal = world.server(1).journal();
-    assert!(
-        journal.capacity() <= 24 + 7,
-        "capacity rounds up per-shard only"
-    );
+    assert_eq!(journal.capacity(), 24, "capacity is exact");
     assert!(journal.len() <= journal.capacity());
     assert!(
         journal.dropped() > 0,
