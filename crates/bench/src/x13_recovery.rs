@@ -69,17 +69,9 @@ fn trial(agents: usize, stops: usize, drop_prob: f64, seed: u64) -> RecoveryRow 
     }
 
     // Every fate resolves, so wait for all agents.
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let mut reports;
-    loop {
-        reports = world
-            .server(0)
-            .wait_reports(agents, deadline.saturating_duration_since(Instant::now()));
-        let distinct: HashSet<_> = reports.iter().map(|r| r.agent.clone()).collect();
-        if distinct.len() >= agents || Instant::now() >= deadline {
-            break;
-        }
-    }
+    let reports = world
+        .server(0)
+        .wait_agents(agents, Duration::from_secs(120));
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let mut seen = HashSet::new();

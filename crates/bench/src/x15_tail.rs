@@ -13,9 +13,8 @@
 //!
 //! Virtual-time quantities: exact and seed-reproducible.
 
-use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ajanta_core::{HistoPath, HistoSnapshot};
 use ajanta_net::LinkFault;
@@ -61,16 +60,9 @@ fn trial(agents: usize, stops: usize, drop_prob: f64, seed: u64) -> TailRow {
             .launch_tour(&tour, creds, payload_agent(64, &carried));
     }
 
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let reports = world
-            .server(0)
-            .wait_reports(agents, deadline.saturating_duration_since(Instant::now()));
-        let distinct: HashSet<_> = reports.iter().map(|r| r.agent.clone()).collect();
-        if distinct.len() >= agents || Instant::now() >= deadline {
-            break;
-        }
-    }
+    world
+        .server(0)
+        .wait_agents(agents, Duration::from_secs(120));
 
     let row = TailRow {
         drop_prob,

@@ -64,16 +64,14 @@ fn trial(agents: usize, stops: usize, mode: TransportMode, seed: u64) -> Transpo
             .launch_tour(&tour, creds, payload_agent(64, &carried));
     }
 
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let reported = loop {
-        let reports = world
-            .server(0)
-            .wait_reports(agents, deadline.saturating_duration_since(Instant::now()));
-        let distinct: HashSet<_> = reports.iter().map(|r| r.agent.clone()).collect();
-        if distinct.len() >= agents || Instant::now() >= deadline {
-            break distinct.len();
-        }
-    };
+    let reports = world
+        .server(0)
+        .wait_agents(agents, Duration::from_secs(120));
+    let reported = reports
+        .iter()
+        .map(|r| &r.agent)
+        .collect::<HashSet<_>>()
+        .len();
     let wall_ns = t0.elapsed().as_nanos() as u64;
 
     let row = TransportRow {

@@ -7,8 +7,7 @@
 //!    exported → [`WarmState`] → [`AgentBundle`] → [`BundleStore::put`]
 //!    (the hibernate path), then `take` → decode → `import_state` (the
 //!    wake path) — the exact serialization round trip the runtime's
-//!    hibernation performs, against both the in-memory and on-disk
-//!    stores. Reported per store: mean ns each way and the memory
+//!    hibernation performs. Reported: mean ns each way and the memory
 //!    trade — the warm agent's resident footprint (interpreter heap
 //!    estimate plus the image and credentials the server keeps for a
 //!    resident agent) versus the single serialized buffer a hibernated
@@ -67,7 +66,7 @@ const CHURN: &str = r#"
 /// One hibernate/wake measurement against one bundle store.
 #[derive(Debug, Clone)]
 pub struct CycleRow {
-    /// "in-memory" or "on-disk".
+    /// The store measured ("in-memory").
     pub store: &'static str,
     /// Hibernate/wake round trips measured.
     pub cycles: u64,
@@ -182,7 +181,7 @@ fn cycle_trial(store: &BundleStore, label: &'static str, cycles: u64) -> CycleRo
     let mut sink = 0usize;
     for _ in 0..cycles {
         let t0 = Instant::now();
-        bundle_bytes = store.put(&bundle).expect("store accepts bundle") as u64;
+        bundle_bytes = store.put(&bundle) as u64;
         hibernate_ns += t0.elapsed().as_nanos() as u64;
 
         let t1 = Instant::now();
@@ -230,19 +229,10 @@ fn replay_trial(records: u64) -> ReplayRow {
     }
 }
 
-/// Runs the full experiment: both bundle stores, then the WAL replay.
+/// Runs the full experiment: the hibernate/wake cycle, then the WAL
+/// replay.
 pub fn run(cycles: u64, wal_records: u64) -> (Vec<CycleRow>, ReplayRow) {
-    let spill = std::env::temp_dir().join(format!("ajanta-x19-spill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&spill);
-    let rows = vec![
-        cycle_trial(&BundleStore::in_memory(), "in-memory", cycles),
-        cycle_trial(
-            &BundleStore::on_disk(spill.clone()).expect("spill dir"),
-            "on-disk",
-            cycles,
-        ),
-    ];
-    let _ = std::fs::remove_dir_all(&spill);
+    let rows = vec![cycle_trial(&BundleStore::in_memory(), "in-memory", cycles)];
     (rows, replay_trial(wal_records))
 }
 
@@ -332,12 +322,11 @@ mod tests {
     use super::*;
 
     /// The acceptance claim: a hibernated idle agent holds strictly
-    /// less memory than it did warm, on both stores, and the cycle
-    /// numbers are sane.
+    /// less memory than it did warm, and the cycle numbers are sane.
     #[test]
     fn hibernated_agent_is_smaller_than_warm() {
         let (rows, replay) = run(8, 64);
-        assert_eq!(rows.len(), 2);
+        assert_eq!(rows.len(), 1);
         for r in &rows {
             assert!(
                 r.bundle_bytes < r.warm_bytes,
@@ -356,6 +345,5 @@ mod tests {
         assert!(json.contains("\"records_per_s\""));
         let rendered = table(&rows, &replay);
         assert!(rendered.contains("X19"));
-        assert!(rendered.contains("on-disk"));
     }
 }

@@ -15,18 +15,12 @@
 //! protection domain."*
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ajanta_naming::Urn;
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
-use crate::registry::key_hash;
 use crate::rights::Rights;
-
-/// Lock shards for the two indices. Sequential domain ids spread evenly by
-/// simple modulo; agent URNs by hash.
-const SHARDS: usize = 16;
 
 /// A protection-domain identifier. Domain 0 is the server's own domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -159,24 +153,22 @@ impl std::error::Error for DomainError {}
 /// executing in the server's protection domain" rule, enforced in the API
 /// rather than by convention.
 ///
-/// The database is internally sharded: records are spread over [`SHARDS`]
-/// independently locked maps keyed by domain id (with a parallel
-/// agent-name → domain index sharded by URN hash), and the id allocator is
-/// an atomic. All methods take `&self`, so many server worker threads can
-/// admit, charge and evict concurrently without funneling through one
-/// database-wide lock — the contention that capped agent throughput when
-/// the whole database sat behind a single `Mutex`.
-///
-/// Lookups return **clones** of the record: a snapshot, consistent at read
-/// time, that stays valid after the shard lock is released.
+/// Both indices and the id allocator sit under one lock, so an agent's
+/// name and its record appear and disappear together: a reader that finds
+/// the name also finds the record. Lookups return **clones** of the
+/// record: a snapshot that stays valid after the lock is released.
 #[derive(Debug)]
 pub struct DomainDatabase {
-    /// Domain id → record, sharded by `id % SHARDS` (ids are sequential,
-    /// so this spreads perfectly).
-    by_domain: [RwLock<HashMap<DomainId, AgentRecord>>; SHARDS],
-    /// Agent name → domain id, sharded by URN hash.
-    by_agent: [RwLock<HashMap<Urn, DomainId>>; SHARDS],
-    next_domain: AtomicU64,
+    index: RwLock<Index>,
+}
+
+#[derive(Debug)]
+struct Index {
+    /// Domain id → record.
+    by_domain: HashMap<DomainId, AgentRecord>,
+    /// Agent name → domain id.
+    by_agent: HashMap<Urn, DomainId>,
+    next_domain: u64,
 }
 
 impl Default for DomainDatabase {
@@ -189,18 +181,12 @@ impl DomainDatabase {
     /// An empty database. Domain ids start at 1 (0 is the server).
     pub fn new() -> Self {
         DomainDatabase {
-            by_domain: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            by_agent: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            next_domain: AtomicU64::new(1),
+            index: RwLock::new(Index {
+                by_domain: HashMap::new(),
+                by_agent: HashMap::new(),
+                next_domain: 1,
+            }),
         }
-    }
-
-    fn domain_shard(&self, domain: DomainId) -> &RwLock<HashMap<DomainId, AgentRecord>> {
-        &self.by_domain[domain.0 as usize % SHARDS]
-    }
-
-    fn agent_shard(&self, agent: &Urn) -> &RwLock<HashMap<Urn, DomainId>> {
-        &self.by_agent[key_hash(agent) % SHARDS]
     }
 
     fn require_server(caller: DomainId) -> Result<(), DomainError> {
@@ -213,13 +199,6 @@ impl DomainDatabase {
 
     /// Creates a fresh protection domain for an arriving agent and records
     /// it. Server-domain only.
-    ///
-    /// The name index entry is claimed first (one shard lock, which also
-    /// performs the duplicate check), then the record is inserted into its
-    /// domain shard; the two locks are never held together, so admissions
-    /// on different shards proceed fully in parallel. A reader racing an
-    /// in-flight admission may see the name mapped before the record
-    /// lands; [`DomainDatabase::record_of`] treats that window as absent.
     #[allow(clippy::too_many_arguments)]
     pub fn admit(
         &self,
@@ -232,16 +211,14 @@ impl DomainDatabase {
         limits: UsageLimits,
     ) -> Result<DomainId, DomainError> {
         Self::require_server(caller)?;
-        let domain = {
-            let mut names = self.agent_shard(&agent).write();
-            if names.contains_key(&agent) {
-                return Err(DomainError::DuplicateAgent(agent));
-            }
-            let domain = DomainId(self.next_domain.fetch_add(1, Ordering::Relaxed));
-            names.insert(agent.clone(), domain);
-            domain
-        };
-        self.domain_shard(domain).write().insert(
+        let mut index = self.index.write();
+        if index.by_agent.contains_key(&agent) {
+            return Err(DomainError::DuplicateAgent(agent));
+        }
+        let domain = DomainId(index.next_domain);
+        index.next_domain += 1;
+        index.by_agent.insert(agent.clone(), domain);
+        index.by_domain.insert(
             domain,
             AgentRecord {
                 agent,
@@ -263,58 +240,52 @@ impl DomainDatabase {
     /// be re-admitted.
     pub fn evict(&self, caller: DomainId, domain: DomainId) -> Result<AgentRecord, DomainError> {
         Self::require_server(caller)?;
-        let record = self
-            .domain_shard(domain)
-            .write()
+        let mut index = self.index.write();
+        let record = index
+            .by_domain
             .remove(&domain)
             .ok_or(DomainError::UnknownDomain(domain))?;
-        self.agent_shard(&record.agent)
-            .write()
-            .remove(&record.agent);
+        index.by_agent.remove(&record.agent);
         Ok(record)
     }
 
     /// Looks up by domain (read-only; any caller — reads are not
     /// restricted, only updates are). Returns a snapshot.
     pub fn record(&self, domain: DomainId) -> Option<AgentRecord> {
-        self.domain_shard(domain).read().get(&domain).cloned()
+        self.index.read().by_domain.get(&domain).cloned()
     }
 
     /// Looks up by agent name. Returns a snapshot.
     pub fn record_of(&self, agent: &Urn) -> Option<AgentRecord> {
-        let domain = self.domain_of(agent)?;
-        self.record(domain)
+        let index = self.index.read();
+        let domain = index.by_agent.get(agent)?;
+        index.by_domain.get(domain).cloned()
     }
 
     /// The domain hosting `agent`, if present.
     pub fn domain_of(&self, agent: &Urn) -> Option<DomainId> {
-        self.agent_shard(agent).read().get(agent).copied()
+        self.index.read().by_agent.get(agent).copied()
     }
 
     /// Number of resident agents.
     pub fn len(&self) -> usize {
-        self.by_domain.iter().map(|s| s.read().len()).sum()
+        self.index.read().by_domain.len()
     }
 
     /// True when no agents are resident.
     pub fn is_empty(&self) -> bool {
-        self.by_domain.iter().all(|s| s.read().is_empty())
+        self.index.read().by_domain.is_empty()
     }
 
-    /// Snapshots all records (status queries from owners, Section 4).
-    /// Shards are visited in turn, so the result is consistent per shard
-    /// but not across concurrent mutations — fine for status reporting.
+    /// Snapshots all records, ordered by domain (status queries from
+    /// owners, Section 4).
     pub fn iter(&self) -> impl Iterator<Item = AgentRecord> {
-        let mut records: Vec<AgentRecord> = self
-            .by_domain
-            .iter()
-            .flat_map(|s| s.read().values().cloned().collect::<Vec<_>>())
-            .collect();
+        let mut records: Vec<AgentRecord> = self.index.read().by_domain.values().cloned().collect();
         records.sort_by_key(|r| r.domain);
         records.into_iter()
     }
 
-    /// Applies `f` to one record under its shard's write lock.
+    /// Applies `f` to one record under the write lock.
     fn update<T>(
         &self,
         caller: DomainId,
@@ -322,8 +293,9 @@ impl DomainDatabase {
         f: impl FnOnce(&mut AgentRecord) -> Result<T, DomainError>,
     ) -> Result<T, DomainError> {
         Self::require_server(caller)?;
-        let mut shard = self.domain_shard(domain).write();
-        let rec = shard
+        let mut index = self.index.write();
+        let rec = index
+            .by_domain
             .get_mut(&domain)
             .ok_or(DomainError::UnknownDomain(domain))?;
         f(rec)
@@ -596,6 +568,66 @@ mod tests {
         let owners: Vec<_> = db.iter().map(|r| r.owner.clone()).collect();
         assert_eq!(owners.len(), 1);
         assert_eq!(owners[0], names().1);
+    }
+
+    #[test]
+    fn a_reader_that_finds_a_name_finds_its_record() {
+        // One thread admits agents without evicting. A reader probing the
+        // agent being admitted right now must never find the name mapped
+        // to a domain whose record is missing.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        const AGENTS: usize = 100_000;
+        let db = Arc::new(DomainDatabase::new());
+        let agents: Arc<Vec<Urn>> = Arc::new(
+            (0..AGENTS)
+                .map(|i| Urn::agent("umn.edu", [format!("a{i}")]).unwrap())
+                .collect(),
+        );
+        let admitted = Arc::new(AtomicUsize::new(0));
+        let writer = {
+            let (db, agents, admitted) =
+                (Arc::clone(&db), Arc::clone(&agents), Arc::clone(&admitted));
+            std::thread::spawn(move || {
+                let (_, o, c, h) = names();
+                for (i, agent) in agents.iter().enumerate() {
+                    db.admit(
+                        DomainId::SERVER,
+                        agent.clone(),
+                        o.clone(),
+                        c.clone(),
+                        h.clone(),
+                        Rights::none(),
+                        UsageLimits::default(),
+                    )
+                    .unwrap();
+                    admitted.store(i + 1, Ordering::Release);
+                }
+            })
+        };
+        let mut hits = 0usize;
+        loop {
+            let next = admitted.load(Ordering::Acquire);
+            if next == AGENTS {
+                break;
+            }
+            if let Some(d) = db.domain_of(&agents[next]) {
+                assert!(
+                    db.record(d).is_some(),
+                    "{} maps to {d}, which has no record",
+                    agents[next]
+                );
+                hits += 1;
+            }
+        }
+        writer.join().unwrap();
+        assert_eq!(db.len(), AGENTS);
+        assert!(db
+            .iter()
+            .map(|r| r.domain)
+            .eq((1..=AGENTS as u64).map(DomainId)));
+        // The probe must have raced some admissions to mean anything.
+        assert!(hits > 0, "the reader never caught an admission in flight");
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //!   [`resource::MethodId`]s at bind time.
 //! * [`telemetry`] — the typed event journal unifying the monitor's
 //!   audit log (Section 3.2), proxy metering/accounting (Section 5.5),
-//!   and the server's security-event stream into one bounded, sharded,
-//!   counter-backed pipeline — now with distributed-trace spans and
+//!   and the server's security-event stream into one bounded,
+//!   counter-backed ring — now with distributed-trace spans and
 //!   lock-free latency histograms for the hot paths.
 //! * [`trace`] — causal tour reconstruction: JSONL journal export,
 //!   cross-server merge into per-trace span trees, and anomaly scanning

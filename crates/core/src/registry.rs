@@ -22,7 +22,6 @@
 //! verified [`Requester`] facts, never agent-controlled data.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use ajanta_naming::{NameRegistry, RegistryError, Urn};
@@ -32,18 +31,6 @@ use crate::domain::DomainId;
 use crate::monitor::{HostMonitor, SystemOp, Violation};
 use crate::proxy::{AccessError, ResourceProxy};
 use crate::resource::{AccessProtocol, Requester};
-
-/// How many independent locks the object map is spread over. Binds from
-/// concurrent agent threads contend only when their resources hash to the
-/// same shard, so lookup throughput scales with thread count.
-const SHARDS: usize = 16;
-
-/// Hash a shard key; callers reduce modulo their own shard count.
-pub(crate) fn key_hash<K: Hash + ?Sized>(key: &K) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish() as usize
-}
 
 /// Why a bind (or registration) failed.
 #[derive(Debug)]
@@ -91,14 +78,18 @@ impl From<AccessError> for BindError {
 
 /// The server's resource registry.
 ///
-/// The object map — the structure every `bind` reads — is split over
-/// [`SHARDS`] independently locked hash maps keyed by the resource URN's
-/// hash, so concurrent binds from many agent threads do not serialize on
-/// one registry-wide lock. The name directory (registration metadata,
-/// cold path) keeps a single lock.
+/// The name directory and the object map sit under one lock, so a name
+/// is listed exactly when its object binds: `register` and `unregister`
+/// update both in one critical section.
 pub struct ResourceRegistry {
-    names: RwLock<NameRegistry>,
-    objects: [RwLock<HashMap<Urn, Arc<dyn AccessProtocol>>>; SHARDS],
+    entries: RwLock<Entries>,
+}
+
+/// Registration metadata plus the objects `bind` hands out.
+#[derive(Default)]
+struct Entries {
+    names: NameRegistry,
+    objects: HashMap<Urn, Arc<dyn AccessProtocol>>,
 }
 
 impl Default for ResourceRegistry {
@@ -111,13 +102,8 @@ impl ResourceRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         ResourceRegistry {
-            names: RwLock::new(NameRegistry::new()),
-            objects: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            entries: RwLock::new(Entries::default()),
         }
-    }
-
-    fn shard(&self, name: &Urn) -> &RwLock<HashMap<Urn, Arc<dyn AccessProtocol>>> {
-        &self.objects[key_hash(name) % SHARDS]
     }
 
     /// Step 1: registers `resource` on behalf of `registrar` (the domain
@@ -133,11 +119,11 @@ impl ResourceRegistry {
         monitor.check(caller, SystemOp::MutateRegistry)?;
         let name = resource.name().clone();
         let description = format!("resource owned by {}", resource.owner());
-        {
-            let mut names = self.names.write();
-            names.register(name.clone(), registrar.clone(), description)?;
-        }
-        self.shard(&name).write().insert(name, resource);
+        let mut entries = self.entries.write();
+        entries
+            .names
+            .register(name.clone(), registrar.clone(), description)?;
+        entries.objects.insert(name, resource);
         Ok(())
     }
 
@@ -150,9 +136,10 @@ impl ResourceRegistry {
         name: &Urn,
     ) -> Result<Arc<dyn AccessProtocol>, BindError> {
         monitor.check(caller, SystemOp::MutateRegistry)?;
-        self.names.write().unregister(name, registrar)?;
-        self.shard(name)
-            .write()
+        let mut entries = self.entries.write();
+        entries.names.unregister(name, registrar)?;
+        entries
+            .objects
             .remove(name)
             .ok_or_else(|| BindError::NotFound(name.clone()))
     }
@@ -164,15 +151,13 @@ impl ResourceRegistry {
         name: &Urn,
         now: u64,
     ) -> Result<ResourceProxy, BindError> {
-        let resource = {
-            // Only this name's shard is locked: binds for resources on
-            // other shards proceed concurrently.
-            let objects = self.shard(name).read();
-            objects
-                .get(name)
-                .cloned()
-                .ok_or_else(|| BindError::NotFound(name.clone()))?
-        };
+        let resource = self
+            .entries
+            .read()
+            .objects
+            .get(name)
+            .cloned()
+            .ok_or_else(|| BindError::NotFound(name.clone()))?;
         // The upcall (step 4) runs outside the registry lock: a slow or
         // reentrant get_proxy must not block other binds.
         let proxy = resource.get_proxy(requester, now)?;
@@ -181,17 +166,22 @@ impl ResourceRegistry {
 
     /// Directory listing (names only — never the objects).
     pub fn list(&self) -> Vec<Urn> {
-        self.names.read().iter().map(|(n, _)| n.clone()).collect()
+        self.entries
+            .read()
+            .names
+            .iter()
+            .map(|(n, _)| n.clone())
+            .collect()
     }
 
     /// Number of registered resources.
     pub fn len(&self) -> usize {
-        self.objects.iter().map(|s| s.read().len()).sum()
+        self.entries.read().objects.len()
     }
 
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.objects.iter().all(|s| s.read().is_empty())
+        self.entries.read().objects.is_empty()
     }
 }
 
@@ -397,6 +387,47 @@ mod tests {
             .unwrap();
         let names: Vec<String> = reg.list().iter().map(|n| n.leaf().to_string()).collect();
         assert_eq!(names, ["a", "b"]);
+    }
+
+    #[test]
+    fn every_listed_name_binds_while_registrations_land() {
+        // A name is listed exactly when its object is registered, so a
+        // reader racing a stream of registrations never sees a listed
+        // name fail to bind.
+        const RESOURCES: usize = 5_000;
+        let reg = Arc::new(ResourceRegistry::new());
+        let writer = {
+            let reg = Arc::clone(&reg);
+            std::thread::spawn(move || {
+                let monitor = HostMonitor::new();
+                for i in 0..RESOURCES {
+                    reg.register(
+                        &monitor,
+                        DomainId::SERVER,
+                        &server_urn(),
+                        gate(&format!("r{i:05}")),
+                    )
+                    .unwrap();
+                }
+            })
+        };
+        let rq = requester(Rights::all());
+        let check = |names: &[Urn]| {
+            for name in names {
+                if let Err(e) = reg.bind(&rq, name, 0) {
+                    panic!("{name} is listed but does not bind: {e}");
+                }
+            }
+        };
+        while !writer.is_finished() {
+            // Names sort by index, so the tail is the newest registrations.
+            let names = reg.list();
+            check(&names[names.len().saturating_sub(4)..]);
+        }
+        writer.join().unwrap();
+        let names = reg.list();
+        assert_eq!(names.len(), RESOURCES);
+        check(&names);
     }
 
     #[test]

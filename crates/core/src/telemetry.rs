@@ -1495,10 +1495,17 @@ impl Journal {
     /// ([`Journal::dropped`] has counted them by the time the page is
     /// returned), and it has no interior gap.
     pub fn since(&self, cursor: u64) -> Vec<Record> {
+        self.page(cursor, usize::MAX)
+    }
+
+    /// The first `max` records of [`Journal::since`]`(cursor)`. Only
+    /// those are copied under the journal's lock, so a bounded follow
+    /// page stalls appenders for its own size, not the ring's.
+    pub fn page(&self, cursor: u64, max: usize) -> Vec<Record> {
         let ring = self.ring.lock();
         let oldest = ring.next_seq - ring.records.len() as u64;
         let skip = cursor.saturating_sub(oldest).min(ring.records.len() as u64) as usize;
-        ring.records.range(skip..).cloned().collect()
+        ring.records.range(skip..).take(max).cloned().collect()
     }
 
     /// The sequence number the *next* append will get — i.e. one past the
@@ -1785,6 +1792,32 @@ mod tests {
         let page = j.since(50);
         assert_eq!(page.first().unwrap().seq, 84);
         assert_eq!(j.dropped(), 84);
+    }
+
+    #[test]
+    fn journal_page_is_since_truncated() {
+        // Capacity 16, 40 appends: the ring has wrapped and keeps 24..40.
+        let j = Journal::with_capacity(16);
+        for i in 0..40u64 {
+            j.append_at(i, reject("x"));
+        }
+        let seqs = |page: Vec<Record>| page.iter().map(|r| r.seq).collect::<Vec<_>>();
+        // Before, at the start of, inside, at the end of and past the
+        // retained window.
+        for cursor in [0, 23, 24, 30, 39, 40, 41, 1000] {
+            for max in [0, 1, 5, 16, 17, usize::MAX] {
+                let mut want = j.since(cursor);
+                want.truncate(max);
+                assert_eq!(
+                    seqs(j.page(cursor, max)),
+                    seqs(want),
+                    "cursor {cursor}, max {max}"
+                );
+            }
+        }
+        assert_eq!(seqs(j.page(0, 3)), [24, 25, 26]);
+        assert_eq!(seqs(j.page(30, 3)), [30, 31, 32]);
+        assert!(j.page(40, 3).is_empty());
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!
 //! * **Hibernation** ([`BundleStore`]): an idle agent is serialized,
 //!   its live interpreter and environment dropped, and only the bytes
-//!   retained (in memory or on disk) until a message or tour resume
-//!   wakes it.
+//!   retained until a message or tour resume wakes it.
 //! * **The admission WAL** (`runtime::wal`): every admission is logged
 //!   as a bundle so a restarted server can re-admit in-flight agents.
 //!
@@ -22,8 +21,6 @@
 //! bundles it encoded itself.
 
 use std::collections::HashMap;
-use std::io;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -128,99 +125,47 @@ impl Wire for AgentBundle {
     }
 }
 
-/// Where hibernated bundles live: an in-memory map, optionally spilling
-/// the bytes to one file per agent under a directory instead. `take` is
-/// atomic — exactly one caller gets the bundle, which is what makes the
-/// wake path race-free (hibernate-then-wake can never schedule two
+/// Where hibernated bundles live: their encoded bytes, in memory. `take`
+/// is atomic — exactly one caller gets the bundle, which is what makes
+/// the wake path race-free (hibernate-then-wake can never schedule two
 /// copies of an agent).
 #[derive(Debug)]
 pub struct BundleStore {
-    /// agent → encoded bundle (in-memory mode) or spill file name
-    /// (on-disk mode, bytes live in the file).
+    /// agent → encoded bundle.
     index: Mutex<HashMap<Urn, Vec<u8>>>,
-    dir: Option<PathBuf>,
     bytes: AtomicUsize,
 }
 
 impl BundleStore {
-    /// A store that keeps encoded bundles in memory.
+    /// An empty store.
     pub fn in_memory() -> Self {
         BundleStore {
             index: Mutex::new(HashMap::new()),
-            dir: None,
             bytes: AtomicUsize::new(0),
         }
-    }
-
-    /// A store that spills each bundle to one file under `dir`
-    /// (created if missing); memory holds only the index.
-    pub fn on_disk(dir: PathBuf) -> io::Result<Self> {
-        std::fs::create_dir_all(&dir)?;
-        Ok(BundleStore {
-            index: Mutex::new(HashMap::new()),
-            dir: Some(dir),
-            bytes: AtomicUsize::new(0),
-        })
-    }
-
-    fn spill_name(agent: &Urn) -> Vec<u8> {
-        let mut name = ajanta_crypto::sha256(agent.to_string().as_bytes()).to_hex();
-        name.push_str(".bundle");
-        name.into_bytes()
     }
 
     /// Stores `bundle`, replacing any previous entry for the same agent.
     /// Returns the encoded size in bytes.
-    pub fn put(&self, bundle: &AgentBundle) -> io::Result<usize> {
+    pub fn put(&self, bundle: &AgentBundle) -> usize {
         let bytes = bundle.to_bytes();
         let len = bytes.len();
-        let entry = match &self.dir {
-            None => bytes,
-            Some(dir) => {
-                let name = Self::spill_name(&bundle.agent);
-                let path = dir.join(String::from_utf8_lossy(&name).into_owned());
-                std::fs::write(path, &bytes)?;
-                name
-            }
-        };
         let mut index = self.index.lock().expect("bundle index poisoned");
-        if let Some(old) = index.insert(bundle.agent.clone(), entry) {
-            let old_len = self.entry_len(&old);
-            self.bytes.fetch_sub(old_len, Ordering::Relaxed);
+        if let Some(old) = index.insert(bundle.agent.clone(), bytes) {
+            self.bytes.fetch_sub(old.len(), Ordering::Relaxed);
         }
         self.bytes.fetch_add(len, Ordering::Relaxed);
-        Ok(len)
-    }
-
-    fn entry_len(&self, entry: &[u8]) -> usize {
-        match &self.dir {
-            None => entry.len(),
-            Some(dir) => {
-                let path = dir.join(String::from_utf8_lossy(entry).into_owned());
-                std::fs::metadata(path)
-                    .map(|m| m.len() as usize)
-                    .unwrap_or(0)
-            }
-        }
+        len
     }
 
     /// Removes and decodes the bundle for `agent`, if present. Exactly
     /// one concurrent caller observes `Some`.
     pub fn take(&self, agent: &Urn) -> Option<AgentBundle> {
-        let entry = self
+        let bytes = self
             .index
             .lock()
             .expect("bundle index poisoned")
             .remove(agent)?;
-        let bytes = match &self.dir {
-            None => entry,
-            Some(dir) => {
-                let path = dir.join(String::from_utf8_lossy(&entry).into_owned());
-                let bytes = std::fs::read(&path).ok()?;
-                let _ = std::fs::remove_file(&path);
-                bytes
-            }
-        };
         self.bytes.fetch_sub(bytes.len(), Ordering::Relaxed);
         AgentBundle::from_bytes(&bytes).ok()
     }
@@ -257,8 +202,7 @@ impl BundleStore {
         self.len() == 0
     }
 
-    /// Total encoded bytes currently stored (on-disk mode: bytes on
-    /// disk, not resident).
+    /// Total encoded bytes currently stored.
     pub fn stored_bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed)
     }

@@ -841,11 +841,7 @@ fn journal_page(v: &ControlView, cursor: Option<u64>, max: usize) -> JournalPage
         // Tail: the newest `max`.
         None => journal.recent(max),
         // Follow: oldest-first from the cursor, capped.
-        Some(c) => {
-            let mut r = journal.since(c);
-            r.truncate(max);
-            r
-        }
+        Some(c) => journal.page(c, max),
     };
     let next_cursor = records
         .last()

@@ -488,20 +488,13 @@ fn drive_tour(
         let creds = owner.credentials(agent, home.clone(), Rights::all(), u64::MAX);
         server.launch_tour(&tour, creds, tourist_image(&tour));
     }
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let mut want = agents;
-    loop {
-        let reports = server.wait_reports(want, deadline.saturating_duration_since(Instant::now()));
-        let distinct: HashSet<_> = reports.iter().map(|r| r.agent.clone()).collect();
-        if distinct.len() >= agents || Instant::now() >= deadline {
-            let completed = reports
-                .iter()
-                .filter(|r| matches!(r.status, crate::messages::ReportStatus::Completed(_)))
-                .count();
-            return (distinct.len(), completed);
-        }
-        want = reports.len() + 1;
-    }
+    let reports = server.wait_agents(agents, Duration::from_secs(120));
+    let distinct: HashSet<_> = reports.iter().map(|r| r.agent.clone()).collect();
+    let completed = reports
+        .iter()
+        .filter(|r| matches!(r.status, crate::messages::ReportStatus::Completed(_)))
+        .count();
+    (distinct.len(), completed)
 }
 
 /// Waits until this process's reliable-send layer has drained and its

@@ -10,16 +10,20 @@
 //! and a server hosting 100k resident agents holds `workers + 1` OS
 //! threads, not 100k.
 //!
-//! Structure mirrors the rest of the runtime:
+//! Structure:
 //!
-//! * **16-way sharded run-queues** (matching the registry/mailbox
-//!   sharding): enqueues round-robin across shards, so producers rarely
-//!   contend, and each worker drains a *home shard* first.
-//! * **Work stealing**: a worker whose home shard is empty scans the
-//!   other shards and steals the oldest entry. Steals are counted
-//!   ([`Counter::Steals`]) against the journal of the task stolen.
-//! * **Fairness**: strict FIFO within a shard; a yielded task goes to
-//!   the *back* of its requeue shard, so no agent can starve another by
+//! * **16 run-queues under one lock.** Enqueues round-robin across the
+//!   queues; each worker drains a *home queue* (`index mod 16`) first.
+//!   The queues, the enqueue cursor and the depth counts share one
+//!   `Mutex`, so an idle worker waits on a condvar whose predicate that
+//!   lock guards: a spawn can never slip between a worker's "no work"
+//!   check and its wait.
+//! * **Work stealing**: a worker whose home queue is empty takes the
+//!   oldest entry of the next non-empty queue above home. Steals are
+//!   counted ([`Counter::Steals`]) against the journal of the task
+//!   stolen.
+//! * **Fairness**: strict FIFO within a queue; a yielded task goes to
+//!   the *back* of its requeue queue, so no agent can starve another by
 //!   burning fuel — the slice budget bounds the time any task holds a
 //!   worker.
 //!
@@ -31,9 +35,8 @@
 //! run-queue before a worker picked it up).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ajanta_core::telemetry::{Counter, HistoPath, Journal};
 use parking_lot::{Condvar, Mutex};
@@ -43,13 +46,8 @@ use parking_lot::{Condvar, Mutex};
 /// small enough that a fuel-burning agent cannot hold a worker hostage.
 pub const DEFAULT_SLICE_FUEL: u64 = 65_536;
 
-/// Run-queue shard count — matches the registry/mailbox sharding.
-const SHARDS: usize = 16;
-
-/// How long an idle worker sleeps before re-scanning; a plain condvar
-/// wait would be racy against the sharded queues (no single lock guards
-/// the "any work?" predicate), so waits are bounded.
-const IDLE_WAIT: Duration = Duration::from_millis(5);
+/// Run-queue count.
+const QUEUES: usize = 16;
 
 /// A resumable unit of agent execution. The server layer implements this
 /// for its agent tasks; the scheduler knows nothing about admission,
@@ -90,22 +88,51 @@ pub struct SchedDepths {
     pub parked: usize,
 }
 
+/// The run-queues and everything the "any work?" predicate reads, under
+/// the scheduler's one lock.
+#[derive(Default)]
+struct Queues {
+    queues: [VecDeque<Entry>; QUEUES],
+    /// Round-robin enqueue cursor.
+    next: usize,
+    depths: SchedDepths,
+    stopping: bool,
+}
+
+impl Queues {
+    fn push(&mut self, entry: Entry) {
+        if !entry.task.is_warm() {
+            self.depths.parked += 1;
+        }
+        self.depths.ready += 1;
+        self.queues[self.next].push_back(entry);
+        self.next = (self.next + 1) % QUEUES;
+    }
+
+    /// Pops from `home` first, then the oldest entry of the next
+    /// non-empty queue above it. Returns the entry and whether it was
+    /// stolen.
+    fn pop(&mut self, home: usize) -> Option<(Entry, bool)> {
+        for off in 0..QUEUES {
+            if let Some(e) = self.queues[(home + off) % QUEUES].pop_front() {
+                self.depths.ready -= 1;
+                if !e.task.is_warm() {
+                    self.depths.parked -= 1;
+                }
+                return Some((e, off != 0));
+            }
+        }
+        None
+    }
+}
+
 /// The work-stealing pool. One per world (shared by all its servers) or
 /// one per standalone server; cheap to share as `Arc<Scheduler>`.
 pub struct Scheduler {
-    shards: [Mutex<VecDeque<Entry>>; SHARDS],
-    /// Total entries across all shards — the workers' "any work?" hint
-    /// and the `ready` depth gauge.
-    ready: AtomicUsize,
-    /// Tasks currently inside `run_slice` on some worker.
-    running: AtomicUsize,
-    /// The subset of `ready` that is cold (image only).
-    parked: AtomicUsize,
-    /// Round-robin enqueue cursor.
-    next_shard: AtomicUsize,
-    shutdown: AtomicBool,
-    idle_lock: Mutex<()>,
-    idle_cv: Condvar,
+    queues: Mutex<Queues>,
+    /// Signalled when work arrives, and when the last slice of a
+    /// stopping pool ends.
+    work: Condvar,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     worker_count: usize,
 }
@@ -124,14 +151,8 @@ impl Scheduler {
     pub fn new(workers: usize) -> Arc<Scheduler> {
         let workers = workers.max(1);
         let sched = Arc::new(Scheduler {
-            shards: std::array::from_fn(|_| Mutex::new(VecDeque::new())),
-            ready: AtomicUsize::new(0),
-            running: AtomicUsize::new(0),
-            parked: AtomicUsize::new(0),
-            next_shard: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
+            queues: Mutex::new(Queues::default()),
+            work: Condvar::new(),
             workers: Mutex::new(Vec::with_capacity(workers)),
             worker_count: workers,
         });
@@ -156,81 +177,36 @@ impl Scheduler {
 
     /// Current queue depths.
     pub fn depths(&self) -> SchedDepths {
-        SchedDepths {
-            ready: self.ready.load(Ordering::Relaxed),
-            running: self.running.load(Ordering::Relaxed),
-            parked: self.parked.load(Ordering::Relaxed),
-        }
+        self.queues.lock().depths
     }
 
     /// Enqueues one ready task.
     pub fn spawn(&self, task: Box<dyn Task>) {
-        self.enqueue(Entry {
+        self.queues.lock().push(Entry {
             task,
             ready_at: Instant::now(),
         });
-        self.idle_cv.notify_one();
+        self.work.notify_one();
     }
 
     /// Enqueues a batch of ready tasks with one wakeup — the server loop
     /// admits a whole delivery burst per tick through this.
     pub fn spawn_batch(&self, tasks: impl IntoIterator<Item = Box<dyn Task>>) {
-        let now = Instant::now();
-        let mut n = 0usize;
+        let ready_at = Instant::now();
+        let mut queues = self.queues.lock();
         for task in tasks {
-            self.enqueue(Entry {
-                task,
-                ready_at: now,
-            });
-            n += 1;
+            queues.push(Entry { task, ready_at });
         }
-        if n > 0 {
-            self.idle_cv.notify_all();
-        }
-    }
-
-    fn enqueue(&self, entry: Entry) {
-        if !entry.task.is_warm() {
-            self.parked.fetch_add(1, Ordering::Relaxed);
-        }
-        let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % SHARDS;
-        self.shards[shard].lock().push_back(entry);
-        self.ready.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Pops from `home` first, then steals the oldest entry from any
-    /// other shard. Returns the entry and whether it was stolen.
-    fn dequeue(&self, home: usize) -> Option<(Entry, bool)> {
-        if self.ready.load(Ordering::Relaxed) == 0 {
-            return None;
-        }
-        if let Some(e) = self.shards[home].lock().pop_front() {
-            self.note_dequeued(&e);
-            return Some((e, false));
-        }
-        for off in 1..SHARDS {
-            let shard = (home + off) % SHARDS;
-            if let Some(e) = self.shards[shard].lock().pop_front() {
-                self.note_dequeued(&e);
-                return Some((e, true));
-            }
-        }
-        None
-    }
-
-    fn note_dequeued(&self, e: &Entry) {
-        self.ready.fetch_sub(1, Ordering::Relaxed);
-        if !e.task.is_warm() {
-            self.parked.fetch_sub(1, Ordering::Relaxed);
-        }
+        drop(queues);
+        self.work.notify_all();
     }
 
     /// Stops the pool: workers finish draining every queued task (and
     /// whatever those tasks enqueue while draining), then exit. Blocks
     /// until all workers have joined. Idempotent.
     pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.idle_cv.notify_all();
+        self.queues.lock().stopping = true;
+        self.work.notify_all();
         let handles = std::mem::take(&mut *self.workers.lock());
         for h in handles {
             let _ = h.join();
@@ -239,58 +215,60 @@ impl Scheduler {
 }
 
 fn worker_loop(sched: Arc<Scheduler>, index: usize) {
-    let home = index % SHARDS;
+    let home = index % QUEUES;
+    let mut queues = sched.queues.lock();
     loop {
-        match sched.dequeue(home) {
-            Some((mut entry, stolen)) => {
-                sched.running.fetch_add(1, Ordering::Relaxed);
-                let journal = Arc::clone(entry.task.journal());
-                journal.histos().record(
-                    HistoPath::ReadyDwell,
-                    entry.ready_at.elapsed().as_nanos() as u64,
-                );
-                if stolen {
-                    journal.counters().add(Counter::Steals, 1);
-                }
-                let t0 = Instant::now();
-                // A panicking agent must not take a pool worker (and
-                // every agent behind it) down with it; the per-agent
-                // thread model got this isolation for free.
-                let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    entry.task.run_slice()
-                }))
-                .unwrap_or(true);
-                journal.counters().add(Counter::SlicesRun, 1);
-                journal
-                    .histos()
-                    .record(HistoPath::SliceDuration, t0.elapsed().as_nanos() as u64);
-                sched.running.fetch_sub(1, Ordering::Relaxed);
-                if !done {
-                    journal.counters().add(Counter::AgentsYielded, 1);
-                    entry.ready_at = Instant::now();
-                    sched.enqueue(entry);
-                    sched.idle_cv.notify_one();
+        match queues.pop(home) {
+            Some((entry, stolen)) => {
+                queues.depths.running += 1;
+                drop(queues);
+                let requeue = run_slice(entry, stolen);
+                queues = sched.queues.lock();
+                queues.depths.running -= 1;
+                match requeue {
+                    Some(entry) => queues.push(entry),
+                    // The last slice of a stopping pool: the idle workers
+                    // wait for it before they exit.
+                    None if queues.stopping && queues.depths.running == 0 => {
+                        sched.work.notify_all()
+                    }
+                    None => {}
                 }
             }
-            None => {
-                if sched.shutdown.load(Ordering::Acquire)
-                    && sched.ready.load(Ordering::Relaxed) == 0
-                    && sched.running.load(Ordering::Relaxed) == 0
-                {
-                    break;
-                }
-                // Bounded wait: the sharded queues have no single lock
-                // guarding the "work available" predicate, so a missed
-                // notify only costs one IDLE_WAIT, never a deadlock.
-                let guard = sched.idle_lock.lock();
-                if sched.ready.load(Ordering::Relaxed) == 0
-                    && !sched.shutdown.load(Ordering::Acquire)
-                {
-                    let _ = sched.idle_cv.wait_timeout(guard, IDLE_WAIT);
-                }
-            }
+            None if queues.stopping && queues.depths.running == 0 => return,
+            None => queues = sched.work.wait(queues),
         }
     }
+}
+
+/// Runs one slice of `entry` outside the queue lock and records its
+/// telemetry. Returns the entry to requeue when the task yielded; a
+/// finished task is dropped here, still outside the lock.
+fn run_slice(mut entry: Entry, stolen: bool) -> Option<Entry> {
+    let journal = Arc::clone(entry.task.journal());
+    journal.histos().record(
+        HistoPath::ReadyDwell,
+        entry.ready_at.elapsed().as_nanos() as u64,
+    );
+    if stolen {
+        journal.counters().add(Counter::Steals, 1);
+    }
+    let t0 = Instant::now();
+    // A panicking agent must not take a pool worker (and every agent
+    // behind it) down with it; the per-agent thread model got this
+    // isolation for free.
+    let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| entry.task.run_slice()))
+        .unwrap_or(true);
+    journal.counters().add(Counter::SlicesRun, 1);
+    journal
+        .histos()
+        .record(HistoPath::SliceDuration, t0.elapsed().as_nanos() as u64);
+    if done {
+        return None;
+    }
+    journal.counters().add(Counter::AgentsYielded, 1);
+    entry.ready_at = Instant::now();
+    Some(entry)
 }
 
 /// The default pool width: the machine's available parallelism.
@@ -303,7 +281,7 @@ pub fn default_workers() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// A task that needs `slices` polls to finish.
     struct Counting {
@@ -337,6 +315,59 @@ mod tests {
             hits: Arc::clone(hits),
             journal: Arc::clone(journal),
         })
+    }
+
+    #[test]
+    fn service_order_is_home_first_then_oldest_above_home() {
+        /// Records its id when run, so the pop order can be read back.
+        struct Tagged {
+            id: usize,
+            order: Arc<Mutex<Vec<usize>>>,
+            journal: Arc<Journal>,
+        }
+        impl Task for Tagged {
+            fn run_slice(&mut self) -> bool {
+                self.order.lock().push(self.id);
+                true
+            }
+            fn journal(&self) -> &Arc<Journal> {
+                &self.journal
+            }
+            fn is_warm(&self) -> bool {
+                false
+            }
+        }
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let journal = Arc::new(Journal::with_capacity(64));
+        let mut queues = Queues::default();
+        for id in 0..20 {
+            queues.push(Entry {
+                task: Box::new(Tagged {
+                    id,
+                    order: Arc::clone(&order),
+                    journal: Arc::clone(&journal),
+                }),
+                ready_at: Instant::now(),
+            });
+        }
+        assert_eq!(queues.depths.ready, 20);
+        assert_eq!(queues.depths.parked, 20);
+        let mut steals = Vec::new();
+        while let Some((mut entry, stolen)) = queues.pop(0) {
+            entry.task.run_slice();
+            steals.push(stolen);
+        }
+        // Round-robin enqueue put e0 and e16 on queue 0, e1 and e17 on
+        // queue 1, and so on; home is drained first, then each queue
+        // above it in turn, oldest entry first.
+        let mut expected = vec![0, 16, 1, 17, 2, 18, 3, 19];
+        expected.extend(4..16);
+        assert_eq!(*order.lock(), expected);
+        // Only e0 and e16 come from home; every later pop is a steal.
+        let mut expected_steals = vec![false, false];
+        expected_steals.resize(20, true);
+        assert_eq!(steals, expected_steals);
+        assert_eq!(queues.depths, SchedDepths::default());
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! domain creation → execution under quotas.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -121,17 +120,6 @@ pub struct ServerConfig {
 /// Queued (sender, payload) mail for one agent.
 type Mailbox = VecDeque<(Urn, Vec<u8>)>;
 
-/// Lock shards for the mailbox map. Mail delivery and pickup for
-/// different agents contend only within a shard, so many agent worker
-/// threads exchange mail without serializing on one map-wide lock.
-const MAILBOX_SHARDS: usize = 16;
-
-fn mailbox_shard_of(agent: &Urn) -> usize {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    agent.hash(&mut h);
-    (h.finish() as usize) % MAILBOX_SHARDS
-}
-
 /// State shared between the server loop, agent worker threads, and the
 /// control handle.
 pub struct Shared {
@@ -142,9 +130,6 @@ pub struct Shared {
     net: Arc<dyn Transport>,
     monitor: HostMonitor,
     registry: ResourceRegistry,
-    /// Internally sharded; every method takes `&self`, so agent worker
-    /// threads admit/charge/evict concurrently (the old outer `Mutex`
-    /// serialized all of them and capped multi-agent throughput).
     domains: DomainDatabase,
     policy: RwLock<SecurityPolicy>,
     system_modules: Vec<Arc<VerifiedModule>>,
@@ -152,20 +137,16 @@ pub struct Shared {
     vm_limits: Limits,
     /// The worker pool agents execute on (possibly shared world-wide).
     sched: Arc<Scheduler>,
-    mailboxes: [Mutex<HashMap<Urn, Mailbox>>; MAILBOX_SHARDS],
+    mailboxes: Mutex<HashMap<Urn, Mailbox>>,
     /// The one telemetry sink: audit decisions (via the monitor),
     /// rejections, agent log lines, lifecycle and proxy/meter events.
     /// Bounded; replaces the old unbounded `logs`/`events` vectors.
     pub(crate) journal: Arc<Journal>,
     reports: Mutex<Vec<Report>>,
-    /// Signalled on every report arrival; `wait_reports` blocks here
-    /// instead of busy-polling.
+    /// Signalled on every report arrival; `wait_reports` and
+    /// `wait_agents` block here instead of busy-polling.
     reports_cv: Condvar,
     rng: Mutex<DetRng>,
-    guard: Mutex<ReplayGuard>,
-    pending_queries:
-        Mutex<BTreeMap<u64, crossbeam::channel::Sender<Result<AgentStatus, QueryError>>>>,
-    next_query_id: AtomicU64,
     /// The fault-tolerant migration layer's state: the receive-side
     /// dedup memory and the unacked frames, which the server loop
     /// services. Never held across a send, span or WAL append.
@@ -183,7 +164,7 @@ pub struct Shared {
     /// Every live proxy grant this server issued at bind time, held
     /// weakly so a dropped proxy costs nothing. The control plane's
     /// fleet-wide revocation walks this list; dead entries are pruned
-    /// as they are encountered.
+    /// there and whenever a bind finds the list full.
     grants: Mutex<Vec<GrantEntry>>,
     /// Agents an administrator asked to hibernate at their next safe
     /// yield point (control plane `hibernate` op). A request bypasses
@@ -202,10 +183,6 @@ impl Shared {
     /// The server's name.
     pub fn name(&self) -> &Urn {
         &self.name
-    }
-
-    fn mailbox_shard(&self, agent: &Urn) -> &Mutex<HashMap<Urn, Mailbox>> {
-        &self.mailboxes[mailbox_shard_of(agent)]
     }
 
     /// Current virtual time.
@@ -315,7 +292,7 @@ impl Shared {
                 proxy
                     .control()
                     .attach_journal(Arc::clone(&self.journal), name.clone());
-                self.grants.lock().push(GrantEntry {
+                self.track_grant(GrantEntry {
                     resource: name.clone(),
                     control: Arc::downgrade(proxy.control()),
                 });
@@ -343,6 +320,21 @@ impl Shared {
         }
     }
 
+    /// Adds a grant to the revocation list. A push that finds the list
+    /// full first drops the grants whose proxies are gone, then leaves
+    /// at least as much room as there are live grants, so pruning costs
+    /// amortized O(1) per bind and the list tracks live proxies, not
+    /// every bind the server ever served.
+    fn track_grant(&self, grant: GrantEntry) {
+        let mut grants = self.grants.lock();
+        if grants.len() == grants.capacity() {
+            grants.retain(|g| g.control.strong_count() > 0);
+            let live = grants.len();
+            grants.reserve(live);
+        }
+        grants.push(grant);
+    }
+
     /// Delivers mail to a co-located agent's mailbox. Returns whether the
     /// recipient is resident here. A hibernated recipient (still
     /// resident — its domain survives the spill) is woken to read it.
@@ -351,7 +343,7 @@ impl Shared {
         if !resident {
             return false;
         }
-        self.mailbox_shard(&to)
+        self.mailboxes
             .lock()
             .entry(to.clone())
             .or_default()
@@ -365,7 +357,7 @@ impl Shared {
 
     /// Whether any mail is queued for `agent`.
     fn has_mail(&self, agent: &Urn) -> bool {
-        self.mailbox_shard(agent)
+        self.mailboxes
             .lock()
             .get(agent)
             .is_some_and(|m| !m.is_empty())
@@ -384,7 +376,7 @@ impl Shared {
 
     /// Takes the oldest mail item for `agent`.
     pub fn take_mail(&self, agent: &Urn) -> Option<(Urn, Vec<u8>)> {
-        self.mailbox_shard(agent).lock().get_mut(agent)?.pop_front()
+        self.mailboxes.lock().get_mut(agent)?.pop_front()
     }
 
     /// Dynamic extension: installs an agent-supplied module as a resource
@@ -993,7 +985,7 @@ impl Shared {
             RejectKind::BadCredentials,
             format!("wake {agent}: {detail}"),
         );
-        self.mailbox_shard(agent).lock().remove(agent);
+        self.mailboxes.lock().remove(agent);
         let _ = self.domains.evict(DomainId::SERVER, domain);
         self.report_home(
             agent,
@@ -1099,22 +1091,41 @@ impl ServerHandle {
     }
 
     /// Blocks (real time) until at least `n` reports have arrived or the
-    /// timeout elapses; returns the snapshot either way. Waiters park on
-    /// a condvar signalled per arrival — no busy-poll, no 2 ms stairs.
+    /// timeout elapses; returns the snapshot either way.
     pub fn wait_reports(&self, n: usize, timeout: std::time::Duration) -> Vec<Report> {
+        self.wait_until(timeout, |reports| reports.len() >= n)
+    }
+
+    /// Blocks (real time) until `n` distinct agents have reported or the
+    /// timeout elapses; returns every report either way. Unlike
+    /// [`ServerHandle::wait_reports`], duplicate reports of one agent
+    /// (conflicting verdicts after a false dead stop) do not count.
+    pub fn wait_agents(&self, n: usize, timeout: std::time::Duration) -> Vec<Report> {
+        let mut agents = HashSet::new();
+        let mut counted = 0;
+        self.wait_until(timeout, |reports| {
+            agents.extend(reports[counted..].iter().map(|r| r.agent.clone()));
+            counted = reports.len();
+            agents.len() >= n
+        })
+    }
+
+    /// Parks on the report condvar, signalled per arrival, until `done`
+    /// holds for the reports so far or the timeout elapses.
+    fn wait_until(
+        &self,
+        timeout: std::time::Duration,
+        mut done: impl FnMut(&[Report]) -> bool,
+    ) -> Vec<Report> {
         let shared = &self.view.shared;
         let deadline = Instant::now() + timeout;
         let mut reports = shared.reports.lock();
         loop {
-            if reports.len() >= n {
-                return reports.clone();
-            }
             let now = Instant::now();
-            if now >= deadline {
+            if done(&reports) || now >= deadline {
                 return reports.clone();
             }
-            let (g, _) = shared.reports_cv.wait_timeout(reports, deadline - now);
-            reports = g;
+            reports = shared.reports_cv.wait_timeout(reports, deadline - now).0;
         }
     }
 
@@ -1393,14 +1404,11 @@ impl AgentServer {
             agent_limits: config.agent_limits,
             vm_limits: config.vm_limits,
             sched: config.scheduler,
-            mailboxes: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            mailboxes: Mutex::new(HashMap::new()),
             journal,
             reports: Mutex::new(Vec::new()),
             reports_cv: Condvar::new(),
             rng: Mutex::new(DetRng::new(config.seed)),
-            guard: Mutex::new(ReplayGuard::new(REPLAY_WINDOW_NS)),
-            pending_queries: Mutex::new(BTreeMap::new()),
-            next_query_id: AtomicU64::new(1),
             custody: Mutex::new(custody),
             started: Instant::now(),
             next_report_seq: AtomicU64::new(1),
@@ -1452,15 +1460,49 @@ impl AgentServer {
     }
 }
 
+/// What only the server loop touches.
+struct LoopState {
+    /// Nonces of every datagram this server opened.
+    guard: ReplayGuard,
+    /// Status queries awaiting a peer's reply, by query id.
+    pending_queries: BTreeMap<u64, Sender<Result<AgentStatus, QueryError>>>,
+    next_query_id: u64,
+    /// Admitted agents collected this tick; handed to the scheduler as
+    /// one batch so a delivery burst costs one queue wakeup, not N.
+    batch: Vec<Box<dyn Task>>,
+    /// Ack/report-ack frames owed for this tick's deliveries, sent after
+    /// the burst drain so a burst of N transfers hands the transport N
+    /// back-to-back acks, which the socket writer coalesces into few
+    /// writes. Each ack is queued before its frame's dedup check: ack
+    /// first, even duplicates.
+    outbox: Vec<(Urn, Message)>,
+}
+
+impl LoopState {
+    /// Sends the acks owed so far, then enqueues the admissions.
+    fn flush(&mut self, shared: &Shared) {
+        for (dest, msg) in self.outbox.drain(..) {
+            let _ = shared.send_message(&dest, &msg);
+        }
+        if !self.batch.is_empty() {
+            shared.sched.spawn_batch(self.batch.drain(..));
+        }
+    }
+}
+
 fn server_loop(
     shared: Arc<Shared>,
     endpoint: Box<dyn NetEndpoint>,
     ctrl: Receiver<Control>,
     replay: Vec<crate::bundle::AgentBundle>,
 ) {
-    // Admitted agents collected this tick; handed to the scheduler as
-    // one batch so a delivery burst costs one queue wakeup, not N.
-    let mut batch: Vec<Box<dyn Task>> = Vec::new();
+    let mut state = LoopState {
+        guard: ReplayGuard::new(REPLAY_WINDOW_NS),
+        pending_queries: BTreeMap::new(),
+        next_query_id: 1,
+        batch: Vec::new(),
+        outbox: Vec::new(),
+    };
     // WAL replay (tentpole): re-admit every agent a previous incarnation
     // owned but had not resolved, through the normal admission pipeline.
     // The dedup entry makes the replay idempotent against the peer's
@@ -1490,20 +1532,10 @@ fn server_loop(
             bundle.ctx,
             sent_ns,
             false,
-            &mut batch,
+            &mut state.batch,
         );
     }
-    if !batch.is_empty() {
-        shared.sched.spawn_batch(batch.drain(..));
-    }
-    // Ack/report-ack frames owed for this tick's deliveries. Collected
-    // here and sent after the burst drain so a burst of N transfers
-    // hands the transport N back-to-back acks in one go — which the
-    // socket writer then coalesces into few writes. Only the flush
-    // granularity moves: each ack is still decided (and ordered) at the
-    // same point in handle_delivery it always was, before the dedup
-    // check, so "ack first, even duplicates" is unchanged.
-    let mut outbox: Vec<(Urn, Message)> = Vec::new();
+    state.flush(&shared);
     loop {
         // Retries and dead stops happen here and only here: the retry
         // pass runs after the previous burst was drained and its acks
@@ -1547,13 +1579,16 @@ fn server_loop(
                     shared.send_transfer(&dest, msg, agent, 0, fallbacks, credentials, None);
                 }
                 Ok(Control::QueryStatus { server, agent, reply }) => {
-                    let query_id = shared.next_query_id.fetch_add(1, Ordering::Relaxed);
-                    shared.pending_queries.lock().insert(query_id, reply);
+                    let query_id = state.next_query_id;
+                    state.next_query_id += 1;
                     let msg = Message::StatusQuery { query_id, agent };
-                    if let Err(e) = shared.send_message(&server, &msg) {
+                    match shared.send_message(&server, &msg) {
+                        Ok(()) => {
+                            state.pending_queries.insert(query_id, reply);
+                        }
                         // Tell the caller *why* instead of letting it
                         // time out against a server that was never asked.
-                        if let Some(reply) = shared.pending_queries.lock().remove(&query_id) {
+                        Err(e) => {
                             let _ = reply.send(Err(QueryError::Unreachable(e)));
                         }
                     }
@@ -1563,7 +1598,7 @@ fn server_loop(
             recv(endpoint.receiver()) -> delivery => match delivery {
                 Ok(d) => {
                     shared.net.clock().advance_to(d.arrival_ns);
-                    handle_delivery(&shared, d, &mut batch, &mut outbox);
+                    handle_delivery(&shared, d, &mut state);
                 }
                 Err(_) => break,
             },
@@ -1573,33 +1608,18 @@ fn server_loop(
         // the whole tick's admissions at once.
         while let Ok(d) = endpoint.receiver().try_recv() {
             shared.net.clock().advance_to(d.arrival_ns);
-            handle_delivery(&shared, d, &mut batch, &mut outbox);
+            handle_delivery(&shared, d, &mut state);
         }
-        for (dest, msg) in outbox.drain(..) {
-            let _ = shared.send_message(&dest, &msg);
-        }
-        if !batch.is_empty() {
-            shared.sched.spawn_batch(batch.drain(..));
-        }
+        state.flush(&shared);
     }
     // A shutdown racing a delivery burst must not strand admitted (and
     // domain-registered) agents: flush, then let the scheduler's own
     // drain-on-stop run them. Acks owed for that last burst go out
     // first — a peer must not re-send a transfer this server admitted.
-    for (dest, msg) in outbox.drain(..) {
-        let _ = shared.send_message(&dest, &msg);
-    }
-    if !batch.is_empty() {
-        shared.sched.spawn_batch(batch.drain(..));
-    }
+    state.flush(&shared);
 }
 
-fn handle_delivery(
-    shared: &Arc<Shared>,
-    delivery: Delivery,
-    batch: &mut Vec<Box<dyn Task>>,
-    outbox: &mut Vec<(Urn, Message)>,
-) {
+fn handle_delivery(shared: &Arc<Shared>, delivery: Delivery, state: &mut LoopState) {
     let now = shared.clock_now();
     let datagram = match SealedDatagram::from_bytes(&delivery.payload) {
         Ok(d) => d,
@@ -1608,16 +1628,13 @@ fn handle_delivery(
             return;
         }
     };
-    let opened = {
-        let mut guard = shared.guard.lock();
-        datagram.open(
-            &shared.identity,
-            &shared.identity.keys,
-            &shared.roots,
-            now,
-            &mut guard,
-        )
-    };
+    let opened = datagram.open(
+        &shared.identity,
+        &shared.identity.keys,
+        &shared.roots,
+        now,
+        &mut state.guard,
+    );
     let (sender, plaintext) = match opened {
         Ok(x) => x,
         Err(e) => {
@@ -1662,7 +1679,7 @@ fn handle_delivery(
                 agent: run_as.clone(),
                 seq: hop,
             };
-            outbox.push((sender.clone(), ack));
+            state.outbox.push((sender.clone(), ack));
             let fresh = shared.custody.lock().fresh(FrameKey::Transfer {
                 agent: run_as.clone(),
                 hop,
@@ -1684,7 +1701,7 @@ fn handle_delivery(
                 ctx,
                 sent_ns,
                 true,
-                batch,
+                &mut state.batch,
             );
         }
         Message::Report { report, seq, ctx } => {
@@ -1693,7 +1710,7 @@ fn handle_delivery(
                 agent: report.agent.clone(),
                 seq,
             };
-            outbox.push((sender.clone(), ack));
+            state.outbox.push((sender.clone(), ack));
             let fresh = shared.custody.lock().fresh(FrameKey::Report {
                 from: sender.clone(),
                 agent: report.agent.clone(),
@@ -1766,7 +1783,7 @@ fn handle_delivery(
         Message::StatusReply {
             query_id, status, ..
         } => {
-            if let Some(reply) = shared.pending_queries.lock().remove(&query_id) {
+            if let Some(reply) = state.pending_queries.remove(&query_id) {
                 let _ = reply.send(Ok(status));
             }
         }
@@ -2146,33 +2163,25 @@ impl AgentTask {
                 last_sender,
             }),
         };
-        match self.shared.bundles.put(&bundle) {
-            Ok(bytes) => {
-                self.shared.hibernate_requests.lock().remove(&self.run_as);
-                self.shared.journal.append(Event::AgentHibernated {
-                    agent: self.run_as.clone(),
-                    hop: self.hop,
-                    bytes: bytes as u64,
-                });
-                self.shared
-                    .journal
-                    .histos()
-                    .record(HistoPath::HibernateLatency, t0.elapsed().as_nanos() as u64);
-                // Mail may have been delivered between the last empty
-                // poll and the spill: re-check now that the bundle is
-                // visible. `take` is atomic, so this self-wake and any
-                // concurrent deliverer's wake revive exactly one copy.
-                if self.shared.has_mail(&self.run_as) {
-                    self.shared.wake_agent(&self.run_as);
-                }
-                true
-            }
-            Err(_) => {
-                // Spill failed (disk store trouble): keep running warm.
-                self.state = TaskState::Warm { env, interp };
-                false
-            }
+        let bytes = self.shared.bundles.put(&bundle);
+        self.shared.hibernate_requests.lock().remove(&self.run_as);
+        self.shared.journal.append(Event::AgentHibernated {
+            agent: self.run_as.clone(),
+            hop: self.hop,
+            bytes: bytes as u64,
+        });
+        self.shared
+            .journal
+            .histos()
+            .record(HistoPath::HibernateLatency, t0.elapsed().as_nanos() as u64);
+        // Mail may have been delivered between the last empty poll and
+        // the spill: re-check now that the bundle is visible. `take` is
+        // atomic, so this self-wake and any concurrent deliverer's wake
+        // revive exactly one copy.
+        if self.shared.has_mail(&self.run_as) {
+            self.shared.wake_agent(&self.run_as);
         }
+        true
     }
 
     /// Everything that happens after the agent's last instruction:
@@ -2198,7 +2207,7 @@ impl AgentTask {
         // happen-after this server has cleared its residue, so "all reports
         // in" implies "no domains left" — the isolation invariant X12 checks.
         // Installed resources stay.
-        shared.mailbox_shard(run_as).lock().remove(run_as);
+        shared.mailboxes.lock().remove(run_as);
         let _ = shared.domains.evict(DomainId::SERVER, domain);
 
         match outcome {
@@ -2292,5 +2301,58 @@ impl AgentTask {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ajanta_core::BoundedBuffer;
+
+    #[test]
+    fn grant_list_tracks_live_proxies_not_bind_history() {
+        let world = crate::World::new(1);
+        let server = world.server(0);
+        let resource = Urn::resource("grants.org", ["jobs"]).unwrap();
+        let owner = Urn::owner("grants.org", ["admin"]).unwrap();
+        server
+            .register_resource(Guarded::new(
+                BoundedBuffer::new(resource.clone(), owner.clone(), 4),
+                ProxyPolicy::default(),
+            ))
+            .unwrap();
+        let shared = &server.view.shared;
+        let agent = Urn::agent("grants.org", ["a"]).unwrap();
+        for _ in 0..10_000 {
+            let domain = shared
+                .domains
+                .admit(
+                    DomainId::SERVER,
+                    agent.clone(),
+                    owner.clone(),
+                    owner.clone(),
+                    shared.name.clone(),
+                    Rights::all(),
+                    UsageLimits::default(),
+                )
+                .unwrap();
+            let requester = Requester {
+                agent: agent.clone(),
+                owner: owner.clone(),
+                domain,
+                rights: Rights::all(),
+            };
+            let proxy = shared
+                .bind_resource(&requester, &resource, 0, None)
+                .unwrap();
+            drop(proxy);
+            shared.domains.evict(DomainId::SERVER, domain).unwrap();
+        }
+        let tracked = shared.grants.lock().len();
+        assert!(
+            tracked <= 8,
+            "{tracked} grants tracked for zero live proxies"
+        );
+        world.shutdown();
     }
 }

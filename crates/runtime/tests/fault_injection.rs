@@ -68,27 +68,6 @@ fn tourist_image(tour: &Itinerary) -> AgentImage {
     image
 }
 
-/// Collects reports at `home` until `agents` distinct agents have
-/// reported or the deadline passes; returns the final snapshot.
-fn wait_distinct(
-    home: &ajanta_runtime::ServerHandle,
-    agents: usize,
-    timeout: Duration,
-) -> Vec<ajanta_runtime::Report> {
-    let deadline = Instant::now() + timeout;
-    let mut want = agents;
-    loop {
-        let reports = home.wait_reports(want, deadline.saturating_duration_since(Instant::now()));
-        let distinct: HashSet<_> = reports.iter().map(|r| r.agent.clone()).collect();
-        if distinct.len() >= agents || Instant::now() >= deadline {
-            return reports;
-        }
-        // Duplicates (conflicting verdicts for a false dead-stop) can
-        // pad the count; wait for strictly more raw reports next round.
-        want = reports.len() + 1;
-    }
-}
-
 /// Asserts that `server`'s journal never admitted the same (agent, hop)
 /// pair twice — the idempotent-admission invariant.
 fn assert_no_duplicate_admissions(server: &ajanta_runtime::ServerHandle) {
@@ -138,7 +117,9 @@ fn tour_survives_twenty_percent_frame_loss() {
             .launch_tour(&tour, creds, tourist_image(&tour));
     }
 
-    let reports = wait_distinct(world.server(0), AGENTS, Duration::from_secs(120));
+    let reports = world
+        .server(0)
+        .wait_agents(AGENTS, Duration::from_secs(120));
     let reported: HashSet<_> = reports.iter().map(|r| r.agent.clone()).collect();
     assert_eq!(
         reported,
@@ -198,7 +179,7 @@ fn blackout_stop_is_skipped_not_fatal() {
             .launch_tour(&tour, creds, tourist_image(&tour));
     }
 
-    let reports = wait_distinct(world.server(0), AGENTS, Duration::from_secs(60));
+    let reports = world.server(0).wait_agents(AGENTS, Duration::from_secs(60));
     let reported: HashSet<_> = reports.iter().map(|r| r.agent.clone()).collect();
     assert_eq!(
         reported, launched,
@@ -302,7 +283,7 @@ fn total_loss_resolves_as_failed_hop_zero() {
             tourist_image(&Itinerary::new([world.server(1).name().clone()])),
         );
     }
-    let reports = wait_distinct(world.server(0), AGENTS, Duration::from_secs(30));
+    let reports = world.server(0).wait_agents(AGENTS, Duration::from_secs(30));
     let reported: HashSet<_> = reports.iter().map(|r| r.agent.clone()).collect();
     assert_eq!(reported, launched);
     for report in &reports {

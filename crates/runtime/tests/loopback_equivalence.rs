@@ -5,7 +5,7 @@
 //! *what happened* must not.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ajanta_core::{BoundedBuffer, Guarded, ProxyPolicy, Rights};
 use ajanta_naming::Urn;
@@ -63,16 +63,7 @@ fn run_tour(mode: TransportMode) -> RunShape {
             .launch_tour(&tour, creds, tourist_image(&tour));
     }
 
-    let deadline = Instant::now() + Duration::from_secs(90);
-    let reports = loop {
-        let reports = world
-            .server(0)
-            .wait_reports(AGENTS, deadline.saturating_duration_since(Instant::now()));
-        let distinct: BTreeSet<_> = reports.iter().map(|r| r.agent.to_string()).collect();
-        if distinct.len() >= AGENTS || Instant::now() >= deadline {
-            break reports;
-        }
-    };
+    let reports = world.server(0).wait_agents(AGENTS, Duration::from_secs(90));
 
     let mut outcomes: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for r in &reports {

@@ -18,25 +18,6 @@ use ajanta_runtime::{
     World,
 };
 
-/// Collects reports at `home` until `agents` distinct agents have
-/// reported or the deadline passes.
-fn wait_distinct(
-    home: &ajanta_runtime::ServerHandle,
-    agents: usize,
-    timeout: Duration,
-) -> Vec<ajanta_runtime::Report> {
-    let deadline = Instant::now() + timeout;
-    let mut want = agents;
-    loop {
-        let reports = home.wait_reports(want, deadline.saturating_duration_since(Instant::now()));
-        let distinct: HashSet<_> = reports.iter().map(|r| r.agent.clone()).collect();
-        if distinct.len() >= agents || Instant::now() >= deadline {
-            return reports;
-        }
-        want = reports.len() + 1;
-    }
-}
-
 #[test]
 fn lossy_tour_reconstructs_complete_trace_trees() {
     const AGENTS: usize = 32;
@@ -78,7 +59,9 @@ fn lossy_tour_reconstructs_complete_trace_trees() {
             .launch_tour(&tour, creds, tourist_image(&tour));
     }
 
-    let reports = wait_distinct(world.server(0), AGENTS, Duration::from_secs(120));
+    let reports = world
+        .server(0)
+        .wait_agents(AGENTS, Duration::from_secs(120));
     let reported: HashSet<_> = reports.iter().map(|r| r.agent.clone()).collect();
     assert_eq!(reported, launched, "every agent must report home");
     let completed = reports

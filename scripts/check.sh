@@ -46,7 +46,11 @@ run ./target/release/ajantad --smoke --kill 1 --timeout 240
 # Optional bench smokes (set CHECK_BENCH=1), each with a JSON summary
 # CI uploads as an artifact: X16 quick — 10k resident agents at reduced
 # iterations — X18 quick — the coalesced wire burst — and X19 quick —
-# the hibernate/wake cycle and WAL replay throughput.
+# the hibernate/wake cycle and WAL replay throughput. Then perfbench's
+# correctness gate at smoke size: one second per world pushes thousands
+# of agents through the scheduler, and every world must drain (zero
+# resident, pending and in-flight agents) with no failed agent.
+# perfbench exits 0 either way, so its result line decides.
 if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
     echo "+ X16_JSON=target/bench-artifacts/x16_sched.json cargo run --release $OFFLINE -p ajanta-bench --bin report -- x16 quick"
     X16_JSON=target/bench-artifacts/x16_sched.json \
@@ -57,5 +61,13 @@ if [[ "${CHECK_BENCH:-0}" == "1" ]]; then
     echo "+ X19_JSON=target/bench-artifacts/x19_durability.json cargo run --release $OFFLINE -p ajanta-bench --bin report -- x19 quick"
     X19_JSON=target/bench-artifacts/x19_durability.json \
         cargo run --release $OFFLINE -p ajanta-bench --bin report -- x19 quick
+    echo "+ cargo run --release $OFFLINE --locked --manifest-path perfbench/Cargo.toml -- --workload all --seed 1 --seconds 1 --trace 0"
+    result=$(cargo run --release --quiet $OFFLINE --locked --manifest-path perfbench/Cargo.toml \
+        -- --workload all --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    if [[ "$result" != *'"correct": true,'* || "$result" != *'"failed": 0,'* ]]; then
+        echo "check.sh: perfbench correctness smoke failed: ${result:0:200}" >&2
+        exit 1
+    fi
+    echo "perfbench smoke: ${result:0:60}"
 fi
 echo "check.sh: all green"
