@@ -7,7 +7,8 @@
 //! names to keys. This crate supplies exactly those functions, built from
 //! scratch:
 //!
-//! * [`sha256`] — a complete FIPS 180-4 SHA-256 (real, test-vectored).
+//! * [`sha256`] — a complete FIPS 180-4 SHA-256 (real, test-vectored),
+//!   compressing on the CPU's SHA extensions where it has them.
 //! * [`hmac`] — HMAC-SHA256 per RFC 2104 (real, RFC 4231 vectors).
 //! * [`sig`] — Schnorr signatures over a 62-bit safe-prime group.
 //! * [`cert`] — public-key certificates and chains with expiry.
@@ -23,7 +24,10 @@
 //! `ajanta-net`, key/certificate plumbing, and realistic relative costs —
 //! not protection of real assets. Do not reuse outside the simulation.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the one `unsafe` in the workspace's non-test code
+// is the SHA-256 dispatcher's call into its SHA-extension kernel, allowed
+// at that call right after the CPU feature check (sha256.rs).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cert;

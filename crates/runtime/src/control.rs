@@ -660,7 +660,7 @@ pub fn serve_request(views: &[ControlView], req: &ControlRequest) -> ControlResp
                     let journal = v.journal();
                     ServerStatus {
                         server: v.name().clone(),
-                        resident: v.agent_records().len() as u64,
+                        resident: v.resident_agents() as u64,
                         hibernated: v.hibernated_list().len() as u64,
                         hibernated_bytes: v.hibernated_bytes() as u64,
                         in_flight: v.in_flight_agents().len() as u64,

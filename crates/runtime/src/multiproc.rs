@@ -251,8 +251,10 @@ pub fn run_child(opts: ChildOpts) -> Result<(), String> {
             policy: SecurityPolicy::new().allow(PrincipalPattern::Anyone, Rights::all()),
             system_modules: Vec::new(),
             // The PARITY sleeper busy-polls its mailbox between the
-            // hibernate/wake round trips; under the default quota it
-            // would burn its fuel and retire mid-exercise.
+            // hibernate/wake round trips; under the default quota or the
+            // interpreter's default fuel it would burn its fuel and
+            // retire mid-exercise, the sooner the more CPU the rest of
+            // the smoke leaves it.
             agent_limits: if opts.ctl.is_some() {
                 UsageLimits {
                     fuel: u64::MAX,
@@ -261,7 +263,14 @@ pub fn run_child(opts: ChildOpts) -> Result<(), String> {
             } else {
                 UsageLimits::default()
             },
-            vm_limits: ajanta_vm::Limits::default(),
+            vm_limits: if opts.ctl.is_some() {
+                ajanta_vm::Limits {
+                    fuel: u64::MAX,
+                    ..ajanta_vm::Limits::default()
+                }
+            } else {
+                ajanta_vm::Limits::default()
+            },
             agents_may_dispatch: true,
             retry: RetryPolicy {
                 max_attempts: 14,

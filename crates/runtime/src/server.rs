@@ -20,6 +20,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 
+use ajanta_core::telemetry::Record;
 use ajanta_core::{
     AccessProtocol, BindError, Counter, Credentials, DomainDatabase, DomainId, Event, Guarded,
     HistoPath, HostMonitor, Journal, ProxyPolicy, RejectKind, Requester, ResourceProxy,
@@ -1161,11 +1162,6 @@ impl ServerHandle {
         }
     }
 
-    /// Number of currently resident agents.
-    pub fn resident_agents(&self) -> usize {
-        self.view.shared.domains.len()
-    }
-
     /// Scheduler queue depths as seen from this server's pool: tasks
     /// ready (queued), running (on a worker this instant), and parked
     /// (ready but cold — holding only their VM image, no stack). With a
@@ -1208,6 +1204,25 @@ impl ServerHandle {
     }
 }
 
+/// Records a whole-journal read copies under the journal's lock at once.
+const JOURNAL_READ_PAGE: usize = 512;
+
+/// Visits the journal's records in seq order, from the oldest retained up
+/// to the newest at the call's start. Pages of at most
+/// [`JOURNAL_READ_PAGE`] records are copied under the journal's lock one at
+/// a time, so the read stalls the server's appenders for one page, never
+/// for the whole ring.
+fn scan_journal(journal: &Journal, mut visit: impl FnMut(&[Record])) {
+    let end = journal.next_seq();
+    let mut cursor = 0;
+    while cursor < end {
+        let page = journal.page(cursor, JOURNAL_READ_PAGE);
+        let Some(last) = page.last() else { break };
+        cursor = last.seq + 1;
+        visit(&page[..page.partition_point(|r| r.seq < end)]);
+    }
+}
+
 /// A cheap, cloneable, read-mostly view of one server: agent inventory,
 /// telemetry, journal, logs, trace export, hibernate/wake, and proxy
 /// revocation — everything `runtime::control` serves — without owning
@@ -1235,6 +1250,12 @@ impl ControlView {
     /// [`Journal::telemetry_snapshot`]).
     pub fn telemetry(&self) -> ajanta_core::telemetry::TelemetrySnapshot {
         self.shared.journal.telemetry_snapshot()
+    }
+
+    /// Number of currently resident agents (including hibernated ones),
+    /// counted without copying their records.
+    pub fn resident_agents(&self) -> usize {
+        self.shared.domains.len()
     }
 
     /// Domain-database records of every resident agent (including
@@ -1270,20 +1291,18 @@ impl ControlView {
     /// journal capacity (the exact lifetime count is the journal's
     /// `LogLines` counter).
     pub fn logs_tail(&self, n: usize) -> Vec<(Urn, String)> {
-        let mut lines: Vec<(Urn, String)> = self
-            .shared
-            .journal
-            .snapshot()
-            .into_iter()
-            .filter_map(|r| match r.event {
-                Event::AgentLog { agent, text } => Some((agent, text)),
-                _ => None,
-            })
-            .collect();
-        if n < lines.len() {
-            lines.drain(..lines.len() - n);
-        }
-        lines
+        let mut lines = VecDeque::new();
+        scan_journal(&self.shared.journal, |page| {
+            for r in page {
+                if let Event::AgentLog { agent, text } = &r.event {
+                    lines.push_back((agent.clone(), text.clone()));
+                    if lines.len() > n {
+                        lines.pop_front();
+                    }
+                }
+            }
+        });
+        lines.into()
     }
 
     /// Total encoded bytes the hibernated agents occupy — the entire
@@ -1311,10 +1330,12 @@ impl ControlView {
     /// offline merging (`ajanta_core::trace::parse_jsonl`,
     /// `ajantactl trace`).
     pub fn export_jsonl(&self) -> String {
-        ajanta_core::trace::export_journal(
-            &self.shared.name.to_string(),
-            &self.shared.journal.snapshot(),
-        )
+        let server = self.shared.name.to_string();
+        let mut out = String::new();
+        scan_journal(&self.shared.journal, |page| {
+            out.push_str(&ajanta_core::trace::export_journal(&server, page));
+        });
+        out
     }
 
     /// Asks a resident agent to hibernate at its next safe yield point
@@ -2308,6 +2329,53 @@ impl AgentTask {
 mod tests {
     use super::*;
     use ajanta_core::BoundedBuffer;
+
+    #[test]
+    fn paged_journal_reads_equal_one_snapshot() {
+        // A 1,200-record ring wrapped several times, read in pages of 512:
+        // `logs_tail` and `export_jsonl` return what one whole-ring copy
+        // returned.
+        let world = crate::World::builder(1).journal_capacity(1_200).build();
+        let view = world.server(0).control_view();
+        let journal = view.journal();
+        let agent = Urn::agent("pages.org", ["a"]).unwrap();
+        for i in 0..5_000u64 {
+            journal.append(if i % 3 == 0 {
+                Event::Span {
+                    ctx: SpanContext::root(journal.mint_trace(), journal.mint_span()),
+                    kind: SpanKind::Access,
+                    agent: agent.clone(),
+                    detail: format!("call {i}"),
+                    start_ns: i,
+                    dur_ns: 1,
+                }
+            } else {
+                Event::AgentLog {
+                    agent: agent.clone(),
+                    text: format!("line {i}"),
+                }
+            });
+        }
+        let end = journal.next_seq();
+        let snapshot = journal.snapshot();
+        assert_eq!(snapshot.len(), 1_200);
+
+        let logs: Vec<(Urn, String)> = snapshot
+            .iter()
+            .filter_map(|r| match &r.event {
+                Event::AgentLog { agent, text } => Some((agent.clone(), text.clone())),
+                _ => None,
+            })
+            .collect();
+        for n in [0, 1, 511, 512, 513, logs.len(), 10_000] {
+            let want = &logs[logs.len().saturating_sub(n)..];
+            assert_eq!(view.logs_tail(n), want, "n = {n}");
+        }
+        let want = ajanta_core::trace::export_journal(&view.name().to_string(), &snapshot);
+        assert_eq!(view.export_jsonl(), want);
+        assert_eq!(journal.next_seq(), end, "nothing else appended");
+        world.shutdown();
+    }
 
     #[test]
     fn grant_list_tracks_live_proxies_not_bind_history() {

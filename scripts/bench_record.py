@@ -1,0 +1,168 @@
+#!/usr/bin/env python3
+"""Record a parent/change benchmark comparison as a committed BENCH file.
+
+    python3 scripts/bench_record.py --out BENCH_20.json \\
+        --parent <parent>/perfbench/target/release/ajanta-perfbench \\
+        --parent-commit <sha> --workload uds --runs 10 --seed 2001
+
+The change side is this checkout's perfbench, built first through
+perfbench/steady.py (whose `build_here` and `run_once` this reuses), so
+the runs measure the tree the file names. Runs last BENCHMARK.json's
+`run_seconds` and interleave as in steady.py: pair i runs both builds on
+seed --seed + i, the parent first in even pairs and the change first in
+odd ones. For each workload and build the file keeps every run (seed,
+order, host steal and idle, correctness, failures and every metric
+perfbench printed) and the median, Q1 and Q3 of each metric the runs
+print: the end-to-end metrics, or with --trace 1 the per-layer ones. For
+each metric BENCHMARK.json names it also counts the pairs the change won,
+by the metric's `better` direction; ties count for neither side.
+
+Each workload's entry also records what it compared and where: the
+parent commit; the change as HEAD plus the git tree id of the checkout's
+tracked files (`git stash create` snapshots uncommitted edits without
+touching the index or the working tree), with the ids of the paths the
+benchmark builds from, so a later commit can be checked against them
+(`git rev-parse <commit>:crates`); and the host: nproc, CPU model, and
+whether the CPU reports the SHA extensions (`sha_ni`), which the SHA-256
+kernel depends on.
+
+An existing --out file is updated in place: each invocation adds or
+replaces only the workloads it ran, so workloads can be recorded one at a
+time. With --trace 1 the entry is stored as `<workload>+trace`.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# Import perfbench/steady.py unchanged, without leaving a bytecode cache
+# inside the benchmark's directory.
+sys.dont_write_bytecode = True
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import steady  # noqa: E402
+
+
+def spec():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return json.load(f)
+
+
+def host():
+    flags, model = set(), ""
+    with open("/proc/cpuinfo") as f:
+        for line in f:
+            key, _, value = line.partition(":")
+            key = key.strip()
+            if key == "flags":
+                flags.update(value.split())
+            elif key == "model name" and not model:
+                model = value.strip()
+    return {"nproc": os.cpu_count(), "cpu_model": model, "sha_ni": "sha_ni" in flags}
+
+
+def change_tree():
+    """HEAD, and the tree of this checkout's tracked files with its subtrees
+    that perfbench builds from. `git stash create` prints nothing when the
+    tree is clean; HEAD's tree is then the one."""
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                              text=True, check=True).stdout.strip()
+    head = git("rev-parse", "HEAD")
+    tree = git("rev-parse", (git("stash", "create") or head) + "^{tree}")
+    sources = {path: git("rev-parse", f"{tree}:{path}")
+               for path in ("Cargo.toml", "crates", "perfbench", "vendor")}
+    return {"head": head, "tree": tree, "sources": sources}
+
+
+def quartiles(values):
+    med = statistics.median(values)
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (med, med, med)
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def record_workload(workload, exes, args, seconds, metric_spec, context):
+    runs = {side: [] for side in exes}
+    for i in range(args.runs):
+        seed = args.seed + i
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for side in order:
+            result, steal, idle = steady.run_once(exes[side], workload, seed, seconds, args.trace)
+            runs[side].append({
+                "seed": seed,
+                "first": side == order[0],
+                "steal": round(steal, 4),
+                "idle": round(idle, 4),
+                "correct": result["correct"],
+                "attempted": result["attempted"],
+                "failed": result["failed"],
+                "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            })
+            shown = " ".join(f"{k}={v['value']:.4g}"
+                             for k, v in list(result["metrics"].items())[:6])
+            print(f"{workload} pair {i} {side:6} seed {seed} steal {steal:6.1%} "
+                  f"failed {result['failed']} {shown}", flush=True)
+    # Untraced runs print the end-to-end metrics, traced runs the
+    # per-layer ones; summarize whichever the runs carry.
+    names = list(runs["parent"][0]["metrics"])
+    entry = {**context, "seconds": seconds, "trace": args.trace, "pairs": args.runs}
+    for side in exes:
+        entry[side] = {
+            "summary": {name: quartiles([r["metrics"][name] for r in runs[side]])
+                        for name in names},
+            "runs": runs[side],
+        }
+    entry["change_vs_parent"] = {}
+    for name in names:
+        m = metric_spec.get(name)
+        if m is None:
+            continue
+        sign = 1 if m["better"] == "higher" else -1
+        pa = [r["metrics"][name] for r in runs["parent"]]
+        ch = [r["metrics"][name] for r in runs["change"]]
+        med_p, med_c = statistics.median(pa), statistics.median(ch)
+        entry["change_vs_parent"][name] = {
+            "median_ratio_minus_1": med_c / med_p - 1 if med_p else None,
+            "pairs_won_by_change": sum(1 for p, c in zip(pa, ch) if sign * (c - p) > 0),
+            "parent_iqr": entry["parent"]["summary"][name]["q3"]
+            - entry["parent"]["summary"][name]["q1"],
+            "bound": m.get("bound"),
+        }
+    return entry
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--out", required=True)
+    p.add_argument("--parent", required=True, help="the parent commit's perfbench executable")
+    p.add_argument("--parent-commit", required=True)
+    p.add_argument("--workload", action="append", required=True)
+    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--trace", type=int, default=0, choices=[0, 1])
+    args = p.parse_args()
+
+    bench = spec()
+    metric_spec = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
+    exes = {"parent": os.path.abspath(args.parent), "change": steady.build_here()}
+    context = {"commits": {"parent": args.parent_commit, "change": change_tree()},
+               "host": host()}
+    try:
+        with open(args.out) as f:
+            doc = json.load(f)
+    except FileNotFoundError:
+        doc = {"workloads": {}}
+    for workload in args.workload:
+        key = workload + ("+trace" if args.trace else "")
+        doc["workloads"][key] = record_workload(
+            workload, exes, args, bench["run_seconds"], metric_spec, context)
+        with open(args.out, "w") as f:
+            json.dump(doc, f, indent=1, sort_keys=True)
+            f.write("\n")
+
+
+if __name__ == "__main__":
+    main()
