@@ -14,7 +14,7 @@
 //! database can be updated only by a thread executing in the server's
 //! protection domain."*
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use ajanta_naming::Urn;
 use parking_lot::RwLock;
@@ -146,6 +146,9 @@ impl std::fmt::Display for DomainError {
 
 impl std::error::Error for DomainError {}
 
+/// Records one [`DomainDatabase::iter`] page copies under the lock.
+const LIST_PAGE: usize = 512;
+
 /// The server's domain database.
 ///
 /// Every mutating method takes the **caller's** domain and refuses
@@ -164,8 +167,8 @@ pub struct DomainDatabase {
 
 #[derive(Debug)]
 struct Index {
-    /// Domain id → record.
-    by_domain: HashMap<DomainId, AgentRecord>,
+    /// Domain id → record, in domain order so listings can page.
+    by_domain: BTreeMap<DomainId, AgentRecord>,
     /// Agent name → domain id.
     by_agent: HashMap<Urn, DomainId>,
     next_domain: u64,
@@ -182,7 +185,7 @@ impl DomainDatabase {
     pub fn new() -> Self {
         DomainDatabase {
             index: RwLock::new(Index {
-                by_domain: HashMap::new(),
+                by_domain: BTreeMap::new(),
                 by_agent: HashMap::new(),
                 next_domain: 1,
             }),
@@ -277,12 +280,33 @@ impl DomainDatabase {
         self.index.read().by_domain.is_empty()
     }
 
-    /// Snapshots all records, ordered by domain (status queries from
-    /// owners, Section 4).
+    /// Every record, ordered by domain (status queries from owners,
+    /// Section 4). Records are copied [`LIST_PAGE`] at a time, each page
+    /// under its own hold of the lock, so listing 100k agents stalls an
+    /// admission or eviction for one page, never for the whole table.
+    /// Each record is a snapshot; an agent admitted or evicted while the
+    /// listing runs may or may not appear in it.
     pub fn iter(&self) -> impl Iterator<Item = AgentRecord> {
-        let mut records: Vec<AgentRecord> = self.index.read().by_domain.values().cloned().collect();
-        records.sort_by_key(|r| r.domain);
-        records.into_iter()
+        let mut records: Vec<AgentRecord> = Vec::new();
+        loop {
+            let from = records
+                .last()
+                .map_or(DomainId(0), |r| DomainId(r.domain.0 + 1));
+            // Collected apart, so growing `records` never holds the lock.
+            let page: Vec<AgentRecord> = self
+                .index
+                .read()
+                .by_domain
+                .range(from..)
+                .take(LIST_PAGE)
+                .map(|(_, r)| r.clone())
+                .collect();
+            let last = page.len() < LIST_PAGE;
+            records.extend(page);
+            if last {
+                return records.into_iter();
+            }
+        }
     }
 
     /// Applies `f` to one record under the write lock.

@@ -41,5 +41,5 @@ mod wire_impls;
 pub use cert::{Certificate, CertificateError, RootOfTrust};
 pub use hmac::HmacSha256;
 pub use rng::DetRng;
-pub use sha256::{sha256, Digest, Sha256};
+pub use sha256::{ctr_keystream_xor, sha256, Digest, Sha256};
 pub use sig::{KeyPair, PublicKey, SecretKey, Signature, SignatureError};

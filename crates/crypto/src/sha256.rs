@@ -160,6 +160,39 @@ pub fn sha256(data: impl AsRef<[u8]>) -> Digest {
     h.finalize()
 }
 
+/// The longest prefix [`ctr_keystream_xor`] takes: prefix, counter and
+/// padding fill one 64-byte block.
+pub const CTR_PREFIX_MAX: usize = 47;
+
+/// SHA-CTR: XORs into `data` the keystream `SHA-256(prefix ‖ i)`, 32
+/// bytes per block, for the block counter `i` = 0, 1, … as a big-endian
+/// `u64`. The padded message of every block is one 64-byte block that
+/// differs only in the counter, so it is laid out once and each 32
+/// keystream bytes cost one compression from the initial state.
+///
+/// # Panics
+/// Panics if `prefix` is longer than [`CTR_PREFIX_MAX`] bytes.
+pub fn ctr_keystream_xor(prefix: &[u8], data: &mut [u8]) {
+    let n = prefix.len();
+    assert!(n <= CTR_PREFIX_MAX, "a {n}-byte prefix overflows the block");
+    let mut block = [0u8; 64];
+    block[..n].copy_from_slice(prefix);
+    block[n + 8] = 0x80;
+    block[56..].copy_from_slice(&(8 * (n as u64 + 8)).to_be_bytes());
+    for (i, chunk) in data.chunks_mut(32).enumerate() {
+        block[n..n + 8].copy_from_slice(&(i as u64).to_be_bytes());
+        let mut state = H0;
+        compress(&mut state, &block);
+        let mut stream = [0u8; 32];
+        for (bytes, word) in stream.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        for (b, k) in chunk.iter_mut().zip(stream) {
+            *b ^= k;
+        }
+    }
+}
+
 /// Whether the running CPU has every feature `compress_sha_ni` is compiled
 /// for beyond the x86-64 baseline (`sse2`): `sha`, `ssse3` and `sse4.1`.
 /// std caches the probe, so asking per block costs a few loads. The
@@ -313,6 +346,39 @@ fn compress_sha_ni(state: &mut [u32; 8], block: &[u8; 64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// SHA-CTR the long way: a whole hash per 32-byte block.
+    fn keystream_by_hashing(prefix: &[u8], data: &mut [u8]) {
+        for (i, chunk) in data.chunks_mut(32).enumerate() {
+            let mut h = Sha256::new();
+            h.update(prefix);
+            h.update((i as u64).to_be_bytes());
+            for (b, k) in chunk.iter_mut().zip(h.finalize().0) {
+                *b ^= k;
+            }
+        }
+    }
+
+    /// The one-block keystream equals hashing each block, for both
+    /// prefixes in use (a datagram's 44 bytes and a channel frame's 47)
+    /// at lengths around block boundaries and one transfer's size.
+    #[test]
+    fn ctr_keystream_matches_hashing_each_block() {
+        let key: Vec<u8> = (0..32u8).collect();
+        let datagram = [b"dgram.stream".as_slice(), &key].concat();
+        let channel = [b"stream".as_slice(), &key, &[1], &9u64.to_be_bytes()].concat();
+        assert_eq!((datagram.len(), channel.len()), (44, CTR_PREFIX_MAX));
+        for prefix in [&datagram, &channel] {
+            for len in [0, 1, 31, 32, 33, 64, 4_515] {
+                let plain: Vec<u8> = (0..len).map(|i| (i * 7) as u8).collect();
+                let mut fast = plain.clone();
+                let mut slow = plain.clone();
+                ctr_keystream_xor(prefix, &mut fast);
+                keystream_by_hashing(prefix, &mut slow);
+                assert_eq!(fast, slow, "prefix {} bytes, length {len}", prefix.len());
+            }
+        }
+    }
 
     /// NIST / well-known test vectors.
     #[test]

@@ -26,7 +26,7 @@ use std::collections::BTreeMap;
 use ajanta_crypto::cert::Certificate;
 use ajanta_crypto::modmath::pow_mod;
 use ajanta_crypto::sig::{self, KeyPair, Signature, G, P, Q};
-use ajanta_crypto::{DetRng, HmacSha256, RootOfTrust, Sha256};
+use ajanta_crypto::{ctr_keystream_xor, DetRng, HmacSha256, RootOfTrust, Sha256};
 use ajanta_naming::Urn;
 use ajanta_wire::{decode_seq, encode_seq, Decoder, Encoder, Wire, WireError};
 
@@ -147,16 +147,7 @@ fn derive(label: &[u8], secret: u64, epk: u64, nonce: u64) -> [u8; 32] {
 }
 
 fn keystream_xor(key: &[u8; 32], data: &mut [u8]) {
-    for (i, chunk) in data.chunks_mut(32).enumerate() {
-        let mut h = Sha256::new();
-        h.update(b"dgram.stream");
-        h.update(key);
-        h.update((i as u64).to_be_bytes());
-        let block = h.finalize().0;
-        for (b, k) in chunk.iter_mut().zip(block.iter()) {
-            *b ^= k;
-        }
-    }
+    ctr_keystream_xor(&[b"dgram.stream".as_slice(), key].concat(), data);
 }
 
 fn signed_hash(header: &[u8], ciphertext: &[u8], tag: &[u8; 32]) -> [u8; 32] {

@@ -29,7 +29,7 @@
 use ajanta_crypto::cert::Certificate;
 use ajanta_crypto::modmath::pow_mod;
 use ajanta_crypto::sig::{self, KeyPair, Signature, G, P, Q};
-use ajanta_crypto::{DetRng, HmacSha256, RootOfTrust, Sha256};
+use ajanta_crypto::{ctr_keystream_xor, DetRng, HmacSha256, RootOfTrust, Sha256};
 use ajanta_naming::Urn;
 use ajanta_wire::{
     decode_seq, encode_seq, varint_len, write_varint, Decoder, Encoder, Wire, WireError, MAX_LEN,
@@ -517,18 +517,8 @@ impl PendingInitiation {
 
 /// SHA-CTR keystream XOR, 32 bytes per block.
 fn apply_keystream(key: &[u8; 32], dir: u8, seq: u64, data: &mut [u8]) {
-    for (block_idx, chunk) in data.chunks_mut(32).enumerate() {
-        let mut h = Sha256::new();
-        h.update(b"stream");
-        h.update(key);
-        h.update([dir]);
-        h.update(seq.to_be_bytes());
-        h.update((block_idx as u64).to_be_bytes());
-        let block = h.finalize().0;
-        for (b, k) in chunk.iter_mut().zip(block.iter()) {
-            *b ^= k;
-        }
-    }
+    let prefix = [b"stream".as_slice(), key, &[dir], &seq.to_be_bytes()].concat();
+    ctr_keystream_xor(&prefix, data);
 }
 
 fn frame_mac(key: &[u8; 32], dir: u8, seq: u64, ciphertext: &[u8]) -> [u8; 32] {

@@ -25,6 +25,18 @@ pub enum ReportStatus {
     Refused(String),
 }
 
+impl ReportStatus {
+    /// The outcome's one-word label, as journaled.
+    pub(crate) fn label(&self) -> &'static str {
+        match self {
+            ReportStatus::Completed(_) => "completed",
+            ReportStatus::Failed(_) => "failed",
+            ReportStatus::QuotaExceeded(_) => "quota",
+            ReportStatus::Refused(_) => "refused",
+        }
+    }
+}
+
 impl Wire for ReportStatus {
     fn encode(&self, e: &mut Encoder) {
         match self {

@@ -37,13 +37,15 @@ use ajanta_vm::{
 };
 use ajanta_wire::Wire;
 
-use crate::custody::{Custody, FrameKey, PendingSend, Recovery, RetryPolicy, SendKey};
+use crate::bundle::AgentBundle;
+use crate::custody::{Custody, DeadStop, PendingSend, Recovery, RetryPolicy, SendKey};
 use crate::directory::Directory;
 use crate::env::AgentEnv;
 use crate::itinerary::Itinerary;
 use crate::messages::{Ack, AgentStatus, Message, Report, ReportStatus};
 use crate::sched::{SchedDepths, Scheduler, Task, DEFAULT_SLICE_FUEL};
 use crate::vmres::VmResource;
+use crate::wal::{AdmissionWal, WalRecord};
 
 /// Replay-guard freshness window (virtual ns) of every server: a quarter
 /// of the clock's range, so no datagram ever ages out and every nonce
@@ -180,6 +182,37 @@ struct GrantEntry {
     control: std::sync::Weak<ajanta_core::ProxyControl>,
 }
 
+/// What starts a transfer leg, which fixes its hop, its entry argument,
+/// where its span joins the tour's trace and the custody it carries.
+enum Leg {
+    /// A launch or child dispatch: hop 0, under a `Dispatch` span that
+    /// says `what` and hangs under `parent` (a fresh trace for `None`).
+    Dispatch {
+        parent: Option<(TraceId, SpanId)>,
+        payload: Vec<u8>,
+        what: &'static str,
+    },
+    /// A `go` that ends the stay admitted at `hop`: the next hop, under
+    /// the stay's admission span, carrying the stay's custody.
+    Go { admission: SpanContext, hop: u64 },
+}
+
+/// The admission check an agent failed (see
+/// [`Shared::admission_checks`]).
+enum Refusal {
+    Credentials(String),
+    Identity,
+    Namespace(String),
+    Image,
+    Module(ajanta_vm::LoadError),
+}
+
+/// What an agent that passed the admission checks runs with.
+struct Cleared {
+    authorization: Rights,
+    verified: Arc<VerifiedModule>,
+}
+
 impl Shared {
     /// The server's name.
     pub fn name(&self) -> &Urn {
@@ -246,12 +279,8 @@ impl Shared {
         let result = self.bind_resource_inner(requester, name, now);
         let dt = t0.elapsed().as_nanos() as u64;
         self.journal.histos().record(HistoPath::Bind, dt);
-        if let Some((trace, parent)) = tracing {
-            let ctx = SpanContext {
-                trace,
-                span: self.journal.mint_span(),
-                parent: Some(parent),
-            };
+        if tracing.is_some() {
+            let ctx = self.span_under(tracing);
             let outcome = match &result {
                 Ok(_) => "ok".to_string(),
                 Err(e) => format!("denied: {e}"),
@@ -430,49 +459,21 @@ impl Shared {
         image
             .validate()
             .map_err(|e| format!("child image invalid: {e}"))?;
-        self.journal.append(Event::AgentDispatched {
-            agent: child.clone(),
-            dest: dest.clone(),
-        });
         // The dispatch joins the parent's tour as a child of the stay
-        // that asked; a caller without coordinates roots a fresh trace.
-        let now = self.clock_now();
-        let dispatch_ctx = match tracing {
-            Some((trace, parent_span)) => SpanContext {
-                trace,
-                span: self.journal.mint_span(),
-                parent: Some(parent_span),
-            },
-            None => SpanContext::root(self.journal.mint_trace(), self.journal.mint_span()),
-        };
-        self.emit_span(
-            dispatch_ctx,
-            SpanKind::Dispatch,
-            &child,
-            format!("child toward {dest}"),
-            now,
-            0,
-        );
-        let msg = Message::Transfer {
-            run_as: child.clone(),
-            credentials: credentials.clone(),
-            image,
-            hop: 0,
-            arg: payload,
-            ctx: dispatch_ctx.child(self.journal.mint_span()),
-            sent_ns: now,
-        };
-        // Children travel on the reliable layer too: if the destination
-        // stays dark, the dead-stop path reports `Failed(0)` to the
-        // family's home site instead of losing the child silently.
-        self.send_transfer(
-            dest,
-            msg,
+        // that asked. Children travel on the reliable layer too: if the
+        // destination stays dark, the dead-stop path reports `Failed(0)`
+        // to the family's home site instead of losing the child silently.
+        self.start_leg(
+            dest.clone(),
             child.clone(),
-            0,
-            Vec::new(),
             credentials.clone(),
-            None,
+            image,
+            Vec::new(),
+            Leg::Dispatch {
+                parent: tracing,
+                payload,
+                what: "child",
+            },
         );
         Ok(child)
     }
@@ -513,15 +514,22 @@ impl Shared {
         }
         self.journal.append(Event::AgentReported {
             agent: report.agent.clone(),
-            status: match report.status {
-                ReportStatus::Completed(_) => "completed",
-                ReportStatus::Failed(_) => "failed",
-                ReportStatus::QuotaExceeded(_) => "quota",
-                ReportStatus::Refused(_) => "refused",
-            },
+            status: report.status.label(),
         });
         self.reports.lock().push(report);
         self.reports_cv.notify_all();
+    }
+
+    /// A fresh span under `parent`, or the root of a fresh trace.
+    fn span_under(&self, parent: Option<(TraceId, SpanId)>) -> SpanContext {
+        match parent {
+            Some((trace, parent)) => SpanContext {
+                trace,
+                span: self.journal.mint_span(),
+                parent: Some(parent),
+            },
+            None => SpanContext::root(self.journal.mint_trace(), self.journal.mint_span()),
+        }
     }
 
     /// Reports `status` to the agent's home site. `parent` anchors the
@@ -529,8 +537,7 @@ impl Shared {
     /// outcomes, the lost transfer's span for dead-stop recovery. `None`
     /// (a refusal before any trace context existed) roots a fresh trace,
     /// so even pre-launch refusals are reconstructible. `custody` is the
-    /// WAL admission this report settles: resolved immediately for a
-    /// local (home == here) report, else when the report's ack arrives.
+    /// WAL admission this report settles (see [`Custody::hand_off`]).
     fn report_home(
         &self,
         run_as: &Urn,
@@ -540,25 +547,12 @@ impl Shared {
         custody: Option<(Urn, u64)>,
     ) {
         let now = self.clock_now();
-        let ctx = match parent {
-            Some((trace, parent_span)) => SpanContext {
-                trace,
-                span: self.journal.mint_span(),
-                parent: Some(parent_span),
-            },
-            None => SpanContext::root(self.journal.mint_trace(), self.journal.mint_span()),
-        };
-        let status_label = match &status {
-            ReportStatus::Completed(_) => "completed",
-            ReportStatus::Failed(_) => "failed",
-            ReportStatus::QuotaExceeded(_) => "quota",
-            ReportStatus::Refused(_) => "refused",
-        };
+        let ctx = self.span_under(parent);
         self.emit_span(
             ctx,
             SpanKind::Report,
             run_as,
-            format!("{status_label} toward {}", credentials.home),
+            format!("{} toward {}", status.label(), credentials.home),
             now,
             0,
         );
@@ -570,9 +564,7 @@ impl Shared {
         };
         if credentials.home == self.name {
             self.record_report(report, None);
-            if let Some((agent, hop)) = custody {
-                self.wal_resolve(&agent, hop);
-            }
+            self.hand_off(custody, None);
             return;
         }
         // Reports ride the reliable layer as well — under 20% loss the
@@ -582,52 +574,73 @@ impl Shared {
         let seq = self.next_report_seq.fetch_add(1, Ordering::Relaxed);
         let home = credentials.home.clone();
         let msg = Message::Report { report, seq, ctx };
-        self.send_reliable(&home, msg, Ack::REPORT, run_as.clone(), seq, None, custody);
+        self.send_reliable(
+            &home,
+            msg,
+            (Ack::REPORT, run_as.clone(), seq),
+            None,
+            custody,
+        );
     }
 
-    /// Sends an agent transfer with at-least-once delivery and a
-    /// dead-stop recovery plan (`fallbacks` = remaining itinerary).
-    /// `custody` names the local WAL admission the transfer's ack will
-    /// settle (the departing agent's own `(agent, hop)` for a `go`;
-    /// `None` for launches and child dispatches, which were never
-    /// admitted here).
-    #[allow(clippy::too_many_arguments)]
-    fn send_transfer(
+    /// Starts one transfer leg on the reliable layer: journals the
+    /// departure, sends `image` toward `dest` with the rest of the
+    /// itinerary as its dead-stop `fallbacks`, and, for a `go`, hands the
+    /// stay's custody to the frame.
+    fn start_leg(
         &self,
-        dest: &Urn,
-        msg: Message,
-        agent: Urn,
-        hop: u64,
-        fallbacks: Vec<Urn>,
+        dest: Urn,
+        run_as: Urn,
         credentials: Credentials,
-        custody: Option<(Urn, u64)>,
+        image: AgentImage,
+        fallbacks: Vec<Urn>,
+        leg: Leg,
     ) {
+        self.journal.append(Event::AgentDispatched {
+            agent: run_as.clone(),
+            dest: dest.clone(),
+        });
+        let now = self.clock_now();
+        let (parent, hop, arg, custody) = match leg {
+            Leg::Dispatch {
+                parent,
+                payload,
+                what,
+            } => {
+                let ctx = self.span_under(parent);
+                let detail = format!("{what} toward {dest}");
+                self.emit_span(ctx, SpanKind::Dispatch, &run_as, detail, now, 0);
+                (ctx, 0, payload, None)
+            }
+            Leg::Go { admission, hop } => {
+                (admission, hop + 1, Vec::new(), Some((run_as.clone(), hop)))
+            }
+        };
+        let msg = Message::Transfer {
+            run_as: run_as.clone(),
+            credentials: credentials.clone(),
+            image,
+            hop,
+            arg,
+            ctx: parent.child(self.journal.mint_span()),
+            sent_ns: now,
+        };
         let recovery = Recovery {
             credentials,
             fallbacks,
         };
-        self.send_reliable(
-            dest,
-            msg,
-            Ack::TRANSFER,
-            agent,
-            hop,
-            Some(recovery),
-            custody,
-        )
+        let key = (Ack::TRANSFER, run_as, hop);
+        self.send_reliable(&dest, msg, key, Some(recovery), custody);
     }
 
-    /// At-least-once delivery: tracks the frame under `(kind, agent,
-    /// seq)` until the peer's [`Message::Ack`] clears it; the server
-    /// loop re-sends and eventually dead-stops it.
-    #[allow(clippy::too_many_arguments)]
+    /// At-least-once delivery: sends `msg` and hands `custody` to it,
+    /// tracked under `key` until the peer's [`Message::Ack`] clears it;
+    /// the server loop re-sends and eventually dead-stops it.
     fn send_reliable(
         &self,
         dest: &Urn,
         msg: Message,
-        kind: u8,
-        agent: Urn,
-        seq: u64,
+        key: SendKey,
         recovery: Option<Recovery>,
         custody: Option<(Urn, u64)>,
     ) {
@@ -651,9 +664,18 @@ impl Shared {
             ctx,
             first_sent_ns,
             last_sent_ns: first_sent_ns,
-            custody,
+            custody: None,
         };
-        self.custody.lock().track((kind, agent, seq), entry);
+        self.hand_off(custody, Some((key, entry)));
+    }
+
+    /// Hands `custody` on with an outcome (see [`Custody::hand_off`]) and
+    /// logs the `Resolve` that falls due.
+    fn hand_off(&self, custody: Option<(Urn, u64)>, carrier: Option<(SendKey, PendingSend)>) {
+        let due = self.custody.lock().hand_off(custody, carrier);
+        if let Some(record) = due {
+            self.wal_append(record);
+        }
     }
 
     /// One retry pass of the server loop: re-sends every frame whose ack
@@ -706,123 +728,126 @@ impl Shared {
             entry.last_sent_ns,
             backoff,
         );
+        self.send_again(key, entry, now);
+    }
+
+    /// Sends a tracked frame again, to its current destination, and
+    /// tracks it anew from `now`.
+    fn send_again(&self, key: SendKey, mut entry: PendingSend, now: u64) {
         entry.last_sent_ns = now;
         let _ = self.send_message(&entry.dest, &entry.msg);
         entry.sent_at = self.started.elapsed();
         self.custody.lock().track(key, entry);
     }
 
-    /// Retries exhausted. Transfers consult the itinerary: skip the dead
-    /// stop if a fallback exists, else report `Failed(hop)` home — the
-    /// home site always learns the agent's fate. Reports just journal;
-    /// there is nothing left to escalate to.
+    /// Carries out [`Custody::dead_stop`]'s choice for a frame out of
+    /// attempts.
     fn dead_stop(&self, key: SendKey, mut entry: PendingSend) {
-        let (_, agent, seq) = &key;
-        let Some(mut recovery) = entry.recovery.take() else {
-            self.reject(
-                RejectKind::ReportUndeliverable,
-                format!(
-                    "report {seq} about {agent} toward {} lost after {} attempts",
-                    entry.dest, entry.attempt
-                ),
-            );
-            return;
-        };
-        let hop = *seq;
-        if recovery.fallbacks.is_empty() {
-            self.journal.append(Event::AgentRecovered {
-                agent: agent.clone(),
-                hop,
-                disposition: "sent-home",
-            });
-            // No fallback ends the leg: close the transfer span as lost
-            // (the Failed report journals as its child), so the tour's
-            // tree still accounts for the agent's whole fate.
-            self.emit_span(
-                entry.ctx,
-                SpanKind::Transfer,
-                agent,
-                format!("to {} lost after {} attempts", entry.dest, entry.attempt),
-                entry.first_sent_ns,
-                self.clock_now().saturating_sub(entry.first_sent_ns),
-            );
-            // Custody passes to the Failed report: the home site learning
-            // the fate is what settles the admission.
-            self.report_home(
-                agent,
-                &recovery.credentials,
-                ReportStatus::Failed(format!(
-                    "hop {hop}: transfer to {} lost after {} attempts",
-                    entry.dest, entry.attempt
-                )),
-                Some((entry.ctx.trace, entry.ctx.span)),
-                entry.custody,
-            );
-            return;
+        let (_, agent, hop) = &key;
+        match Custody::dead_stop(&key, &mut entry) {
+            DeadStop::ReportLost(detail) => self.reject(RejectKind::ReportUndeliverable, detail),
+            DeadStop::SendHome {
+                credentials,
+                status,
+            } => {
+                self.journal.append(Event::AgentRecovered {
+                    agent: agent.clone(),
+                    hop: *hop,
+                    disposition: "sent-home",
+                });
+                // No fallback ends the leg: close the transfer span as
+                // lost (the Failed report journals as its child), so the
+                // tour's tree still accounts for the agent's whole fate.
+                self.emit_span(
+                    entry.ctx,
+                    SpanKind::Transfer,
+                    agent,
+                    format!("to {} lost after {} attempts", entry.dest, entry.attempt),
+                    entry.first_sent_ns,
+                    self.clock_now().saturating_sub(entry.first_sent_ns),
+                );
+                // Custody passes to the Failed report: the home site
+                // learning the fate is what settles the admission.
+                let parent = Some((entry.ctx.trace, entry.ctx.span));
+                self.report_home(agent, &credentials, status, parent, entry.custody);
+            }
+            DeadStop::Skip { skipped } => {
+                self.journal.append(Event::HopSkipped {
+                    agent: agent.clone(),
+                    skipped,
+                    next: entry.dest.clone(),
+                    hop: *hop,
+                });
+                self.journal.append(Event::AgentRecovered {
+                    agent: agent.clone(),
+                    hop: *hop,
+                    disposition: "skipped",
+                });
+                // The span context and first-send baseline carry over: a
+                // skip is the *same* transfer leg finding another door,
+                // and its eventual RTT should include the time burned on
+                // the dead stop.
+                self.send_again(key, entry, self.clock_now());
+            }
         }
-        let next = recovery.fallbacks.remove(0);
-        self.journal.append(Event::HopSkipped {
-            agent: agent.clone(),
-            skipped: entry.dest.clone(),
-            next: next.clone(),
-            hop,
-        });
-        self.journal.append(Event::AgentRecovered {
-            agent: agent.clone(),
-            hop,
-            disposition: "skipped",
-        });
-        // Same frame, same hop — the idempotency key is unchanged, so if
-        // the "dead" stop actually admitted the agent and only its acks
-        // were lost, the fallback copy can at worst duplicate-admit at a
-        // *different* server, never the same one twice.
-        let _ = self.send_message(&next, &entry.msg);
-        // The span context and first-send baseline carry over: a skip is
-        // the *same* transfer leg finding another door, and its eventual
-        // RTT should include the time burned on the dead stop.
-        entry.dest = next;
-        entry.attempt = 1;
-        entry.sent_at = self.started.elapsed();
-        entry.recovery = Some(recovery);
-        entry.last_sent_ns = self.clock_now();
-        self.custody.lock().track(key, entry);
     }
 
-    /// Appends an [`crate::wal::WalRecord::Admit`] for `bundle` — called
-    /// on the server loop inside `handle_transfer`, which runs (and
-    /// flushes) *before* the loop flushes the tick's outbox, so the
-    /// admission is durable before its ack can physically leave.
-    fn wal_admit(&self, bundle: crate::bundle::AgentBundle) {
+    /// Appends one record to the admission WAL, when there is one. An
+    /// `Admit` is appended on the server loop before the tick's outbox,
+    /// carrying its ack, is flushed, so the admission is durable before
+    /// its ack can physically leave.
+    fn wal_append(&self, record: WalRecord) {
         if let Some(wal) = &self.wal {
-            let record = crate::wal::WalRecord::Admit(Box::new(bundle));
             if wal.append(&record).is_ok() {
                 self.journal.counters().add(Counter::WalAppends, 1);
             }
         }
     }
 
-    /// Appends an [`crate::wal::WalRecord::Resolve`] for `(agent, hop)`:
-    /// custody ended (the onward transfer or home report was acked, or
-    /// the outcome was recorded locally).
-    fn wal_resolve(&self, agent: &Urn, hop: u64) {
-        if let Some(wal) = &self.wal {
-            let record = crate::wal::WalRecord::Resolve {
-                agent: agent.clone(),
-                hop,
-            };
-            if wal.append(&record).is_ok() {
-                self.journal.counters().add(Counter::WalAppends, 1);
-            }
+    /// The admission checks every arriving and every waking agent
+    /// passes, in order (Section 5.2's problem list): its credentials
+    /// verify at `now` (tamper-evidence, expiry, certification); it runs
+    /// as the credentialed agent or a child within its name subtree
+    /// (Section 2: an agent's creator may be another agent); its image is
+    /// consistent and its module loads into a fresh name-space, where
+    /// shadowing a system module is refused; and the policy authorizes
+    /// it (server policy ∩ owner delegation).
+    fn admission_checks(
+        &self,
+        now: u64,
+        run_as: &Urn,
+        credentials: &Credentials,
+        image: &AgentImage,
+    ) -> Result<Cleared, Refusal> {
+        let delegated = credentials
+            .verify(&self.roots, now)
+            .map_err(|e| Refusal::Credentials(e.to_string()))?;
+        if *run_as != credentials.agent && !run_as.is_within(&credentials.agent) {
+            return Err(Refusal::Identity);
         }
+        let mut namespace = Namespace::with_system(&self.system_modules)
+            .map_err(|e| Refusal::Namespace(e.to_string()))?;
+        image.validate().map_err(|_| Refusal::Image)?;
+        let verified = namespace
+            .load(image.module.clone())
+            .map_err(Refusal::Module)?;
+        let authorization =
+            self.policy
+                .read()
+                .authorize(&credentials.agent, &credentials.owner, &delegated);
+        Ok(Cleared {
+            authorization,
+            verified,
+        })
     }
 
     /// Revives a hibernated agent: takes its bundle (atomically — exactly
-    /// one concurrent wake wins), re-verifies its credentials, rebuilds
-    /// interpreter and environment, and hands a fresh task to the
+    /// one concurrent wake wins), runs the admission checks again,
+    /// rebuilds interpreter and environment, and hands a fresh task to the
     /// scheduler. Returns whether a bundle was found and revived.
     pub(crate) fn wake_agent(self: &Arc<Self>, agent: &Urn) -> bool {
         let t0 = Instant::now();
-        let Some(bundle) = self.bundles.take(agent) else {
+        let Some(mut bundle) = self.bundles.take(agent) else {
             return false;
         };
         let Some(domain) = self.domains.domain_of(agent) else {
@@ -830,79 +855,49 @@ impl Shared {
             // wake); there is no stay to resume.
             return false;
         };
-        let now = self.clock_now();
         let hop = bundle.hop;
-        let delegated = match bundle.credentials.verify(&self.roots, now) {
-            Ok(rights) => rights,
-            Err(e) => {
-                self.wake_fail(
-                    agent,
-                    domain,
-                    &bundle,
-                    format!("credentials no longer verify: {e}"),
-                );
-                return true;
-            }
-        };
-        let rights = self.policy.read().authorize(
-            &bundle.credentials.agent,
-            &bundle.credentials.owner,
-            &delegated,
-        );
-        let mut namespace = match Namespace::with_system(&self.system_modules) {
-            Ok(ns) => ns,
-            Err(e) => {
-                self.wake_fail(agent, domain, &bundle, format!("system namespace: {e}"));
-                return true;
-            }
-        };
-        let verified = match namespace.load(bundle.image.module.clone()) {
-            Ok(v) => v,
-            Err(e) => {
-                self.wake_fail(
-                    agent,
-                    domain,
-                    &bundle,
-                    format!("module no longer loads: {e}"),
-                );
-                return true;
-            }
-        };
-        let state = match bundle.warm.clone() {
-            Some(warm) => {
-                let mut env = AgentEnv::new(
-                    Arc::clone(self),
-                    domain,
-                    agent.clone(),
-                    bundle.credentials.clone(),
-                    rights,
-                    bundle.ctx,
-                );
-                env.set_module(Arc::clone(&verified));
-                env.restore_session(warm.rng_state, warm.children, warm.last_sender);
-                let Some(interp) = Interpreter::import_state(verified, self.vm_limits, warm.interp)
-                else {
-                    self.wake_fail(
-                        agent,
-                        domain,
-                        &bundle,
-                        "hibernated state inconsistent with module".into(),
-                    );
+        let credentials = &bundle.credentials;
+        let cleared =
+            match self.admission_checks(self.clock_now(), agent, credentials, &bundle.image) {
+                Ok(cleared) => cleared,
+                Err(refusal) => {
+                    let detail = match refusal {
+                        Refusal::Credentials(e) => format!("credentials no longer verify: {e}"),
+                        Refusal::Identity => format!("{agent} is not within {}", credentials.agent),
+                        Refusal::Namespace(e) => format!("system namespace: {e}"),
+                        Refusal::Image => "hibernated image inconsistent".into(),
+                        Refusal::Module(e) => format!("module no longer loads: {e}"),
+                    };
+                    self.wake_fail(agent, domain, &bundle, detail);
                     return true;
-                };
-                TaskState::Warm {
-                    env: Box::new(env),
-                    interp: Box::new(interp),
                 }
-            }
-            // A cold bundle (never ran here) restarts from its entry.
-            None => TaskState::Cold {
-                verified,
-                globals: bundle.image.globals,
-                arg: bundle.arg,
-                authorization: rights,
-            },
+            };
+        // Only `AgentTask::try_hibernate` stores bundles, always warm.
+        let verified = cleared.verified;
+        let restored = bundle.warm.take().and_then(|warm| {
+            let interp =
+                Interpreter::import_state(Arc::clone(&verified), self.vm_limits, warm.interp)?;
+            Some((interp, (warm.rng_state, warm.children, warm.last_sender)))
+        });
+        let Some((interp, (rng_state, children, last_sender))) = restored else {
+            self.wake_fail(
+                agent,
+                domain,
+                &bundle,
+                "hibernated state inconsistent with module".into(),
+            );
+            return true;
         };
+        let mut env = AgentEnv::new(
+            Arc::clone(self),
+            domain,
+            agent.clone(),
+            bundle.credentials.clone(),
+            cleared.authorization,
+            bundle.ctx,
+        );
+        env.set_module(verified);
+        env.restore_session(rng_state, children, last_sender);
         self.journal.append(Event::AgentWoken {
             agent: agent.clone(),
             hop,
@@ -919,7 +914,10 @@ impl Shared {
             hop,
             run_as: agent.clone(),
             admission_ctx: bundle.ctx,
-            state,
+            state: TaskState::Warm {
+                env: Box::new(env),
+                interp: Box::new(interp),
+            },
         }));
         true
     }
@@ -975,13 +973,7 @@ impl Shared {
 
     /// A failed revival must leave no residue and must still settle the
     /// agent's fate — the same obligations `AgentTask::complete` meets.
-    fn wake_fail(
-        &self,
-        agent: &Urn,
-        domain: DomainId,
-        bundle: &crate::bundle::AgentBundle,
-        detail: String,
-    ) {
+    fn wake_fail(&self, agent: &Urn, domain: DomainId, bundle: &AgentBundle, detail: String) {
         self.reject(
             RejectKind::BadCredentials,
             format!("wake {agent}: {detail}"),
@@ -1392,25 +1384,17 @@ impl AgentServer {
         let monitor = HostMonitor::with_journal(Arc::clone(&journal), config.agents_may_dispatch);
         // Crash recovery happens before the loop starts: read whatever
         // log a previous incarnation left, then reopen it for appending.
-        // Resolved keys pre-seed the duplicate filter (peer retries of
-        // settled frames are acked and dropped); unresolved admissions
-        // are re-admitted once the loop is live.
-        let (wal, recovery) = match &config.wal {
-            Some(path) => {
-                let records = crate::wal::AdmissionWal::replay(path).unwrap_or_default();
-                let recovery = crate::wal::AdmissionWal::recover(records);
-                (crate::wal::AdmissionWal::open(path).ok(), Some(recovery))
-            }
-            None => (None, None),
-        };
+        // The custody core remembers what the log settled and hands back
+        // the admissions to re-admit once the loop is live.
         let mut custody = Custody::new(config.retry);
-        let mut replay_bundles = Vec::new();
-        if let Some(recovery) = recovery {
-            for (agent, hop) in recovery.resolved {
-                custody.fresh(FrameKey::Transfer { agent, hop });
+        let (wal, replay) = match &config.wal {
+            Some(path) => {
+                let records = AdmissionWal::replay(path).unwrap_or_default();
+                let replay = custody.recover(AdmissionWal::recover(records));
+                (AdmissionWal::open(path).ok(), replay)
             }
-            replay_bundles = recovery.unresolved;
-        }
+            None => (None, Vec::new()),
+        };
         let shared = Arc::new(Shared {
             name: config.name.clone(),
             identity: config.identity,
@@ -1470,7 +1454,7 @@ impl AgentServer {
         let loop_shared = Arc::clone(&shared);
         let join = std::thread::Builder::new()
             .name(format!("ajanta-{}", config.name.leaf()))
-            .spawn(move || server_loop(loop_shared, endpoint, ctrl_rx, replay_bundles))
+            .spawn(move || server_loop(loop_shared, endpoint, ctrl_rx, replay))
             .expect("spawning server thread");
 
         ServerHandle {
@@ -1515,7 +1499,7 @@ fn server_loop(
     shared: Arc<Shared>,
     endpoint: Box<dyn NetEndpoint>,
     ctrl: Receiver<Control>,
-    replay: Vec<crate::bundle::AgentBundle>,
+    replay: Vec<AgentBundle>,
 ) {
     let mut state = LoopState {
         guard: ReplayGuard::new(REPLAY_WINDOW_NS),
@@ -1524,37 +1508,19 @@ fn server_loop(
         batch: Vec::new(),
         outbox: Vec::new(),
     };
-    // WAL replay (tentpole): re-admit every agent a previous incarnation
-    // owned but had not resolved, through the normal admission pipeline.
-    // The dedup entry makes the replay idempotent against the peer's
-    // own retry of the same frame arriving later — and `wal_log: false`
-    // keeps the replay from re-logging admissions that are already in
-    // the log unresolved.
+    // WAL replay: re-admit every agent a previous incarnation owned but
+    // had not resolved, through the normal admission pipeline. Custody
+    // already remembers each key, so the peer's own retry of the same
+    // frame arriving later is a duplicate — and `wal_log: false` keeps
+    // the replay from re-logging admissions that are already in the log
+    // unresolved.
     for bundle in replay {
-        let fresh = shared.custody.lock().fresh(FrameKey::Transfer {
-            agent: bundle.agent.clone(),
-            hop: bundle.hop,
-        });
-        if !fresh {
-            continue;
-        }
         shared.journal.append(Event::WalReplayed {
             agent: bundle.agent.clone(),
             hop: bundle.hop,
         });
         let sent_ns = shared.clock_now();
-        handle_transfer(
-            &shared,
-            bundle.credentials,
-            bundle.image,
-            bundle.hop,
-            bundle.agent,
-            bundle.arg,
-            bundle.ctx,
-            sent_ns,
-            false,
-            &mut state.batch,
-        );
+        admit(&shared, bundle, sent_ns, false, &mut state.batch);
     }
     state.flush(&shared);
     loop {
@@ -1567,37 +1533,16 @@ fn server_loop(
         crossbeam::channel::select! {
             recv(ctrl) -> cmd => match cmd {
                 Ok(Control::Launch { dest, credentials, image, fallbacks }) => {
-                    shared.journal.append(Event::AgentDispatched {
-                        agent: credentials.agent.clone(),
-                        dest: dest.clone(),
-                    });
-                    let agent = credentials.agent.clone();
                     // Every launch roots a fresh trace: a Dispatch span
                     // with no parent, whose id every later span of the
                     // tour transitively descends from.
-                    let now = shared.clock_now();
-                    let root = SpanContext::root(
-                        shared.journal.mint_trace(),
-                        shared.journal.mint_span(),
-                    );
-                    shared.emit_span(
-                        root,
-                        SpanKind::Dispatch,
-                        &agent,
-                        format!("launch toward {dest}"),
-                        now,
-                        0,
-                    );
-                    let msg = Message::Transfer {
-                        run_as: agent.clone(),
-                        credentials: credentials.clone(),
-                        image,
-                        hop: 0,
-                        arg: Vec::new(),
-                        ctx: root.child(shared.journal.mint_span()),
-                        sent_ns: now,
+                    let launch = Leg::Dispatch {
+                        parent: None,
+                        payload: Vec::new(),
+                        what: "launch",
                     };
-                    shared.send_transfer(&dest, msg, agent, 0, fallbacks, credentials, None);
+                    let agent = credentials.agent.clone();
+                    shared.start_leg(dest, agent, credentials, image, fallbacks, launch);
                 }
                 Ok(Control::QueryStatus { server, agent, reply }) => {
                     let query_id = state.next_query_id;
@@ -1681,6 +1626,17 @@ fn handle_delivery(shared: &Arc<Shared>, delivery: Delivery, state: &mut LoopSta
             return;
         }
     };
+    // Ack first — even duplicates: "acknowledged but not re-admitted".
+    // The ack leaves with the tick's outbox, after any admission below
+    // has been logged.
+    let receipt = shared.custody.lock().receive(&sender, &message);
+    if let Some(receipt) = receipt {
+        state.outbox.push((sender.clone(), receipt.ack));
+        if let Some(detail) = receipt.duplicate {
+            shared.reject(RejectKind::DuplicateHop, detail);
+            return;
+        }
+    }
     match message {
         Message::Transfer {
             credentials,
@@ -1691,69 +1647,26 @@ fn handle_delivery(shared: &Arc<Shared>, delivery: Delivery, state: &mut LoopSta
             ctx,
             sent_ns,
         } => {
-            // Ack first — even duplicates: "acknowledged but not
-            // re-admitted". The admission decision itself hinges on the
-            // idempotency key (agent, hop): a retried or replayed copy
-            // of an already-seen hop goes no further.
-            let ack = Message::Ack {
-                kind: Ack::TRANSFER,
-                agent: run_as.clone(),
-                seq: hop,
-            };
-            state.outbox.push((sender.clone(), ack));
-            let fresh = shared.custody.lock().fresh(FrameKey::Transfer {
-                agent: run_as.clone(),
+            let bundle = AgentBundle {
+                agent: run_as,
                 hop,
-            });
-            if !fresh {
-                shared.reject(
-                    RejectKind::DuplicateHop,
-                    format!("transfer of {run_as} hop {hop} already processed"),
-                );
-                return;
-            }
-            handle_transfer(
-                shared,
                 credentials,
                 image,
-                hop,
-                run_as,
                 arg,
                 ctx,
-                sent_ns,
-                true,
-                &mut state.batch,
-            );
-        }
-        Message::Report { report, seq, ctx } => {
-            let ack = Message::Ack {
-                kind: Ack::REPORT,
-                agent: report.agent.clone(),
-                seq,
+                warm: None,
             };
-            state.outbox.push((sender.clone(), ack));
-            let fresh = shared.custody.lock().fresh(FrameKey::Report {
-                from: sender.clone(),
-                agent: report.agent.clone(),
-                seq,
-            });
-            if !fresh {
-                shared.reject(
-                    RejectKind::DuplicateHop,
-                    format!("report {seq} from {sender} already recorded"),
-                );
-                return;
-            }
-            shared.record_report(report, Some(ctx));
+            admit(shared, bundle, sent_ns, true, &mut state.batch);
         }
+        Message::Report { report, ctx, .. } => shared.record_report(report, Some(ctx)),
         Message::Ack { kind, agent, seq } => {
-            // The first ack resolves the frame; duplicates find nothing
+            // The first ack settles the frame; duplicates find nothing
             // pending and do nothing (so no span is journaled twice). A
-            // resolved transfer closes its Transfer span with the full
+            // settled transfer closes its Transfer span with the full
             // virtual round trip since the *first* send — retry backoffs
             // included, which is exactly the tail the histogram is for.
-            let entry = shared.custody.lock().settle(&(kind, agent.clone(), seq));
-            if let Some(entry) = entry {
+            let acked = shared.custody.lock().acked(&(kind, agent.clone(), seq));
+            if let Some((entry, resolve)) = acked {
                 if kind == Ack::TRANSFER {
                     let rtt = shared.clock_now().saturating_sub(entry.first_sent_ns);
                     shared.journal.histos().record(HistoPath::TransferRtt, rtt);
@@ -1766,11 +1679,8 @@ fn handle_delivery(shared: &Arc<Shared>, delivery: Delivery, state: &mut LoopSta
                         rtt,
                     );
                 }
-                // The ack is the custody hand-off: the receiver (or the
-                // home site) now durably owns the agent's fate, so the
-                // local WAL admission is settled.
-                if let Some((custody_agent, custody_hop)) = entry.custody {
-                    shared.wal_resolve(&custody_agent, custody_hop);
+                if let Some(record) = resolve {
+                    shared.wal_append(record);
                 }
             }
         }
@@ -1811,18 +1721,14 @@ fn handle_delivery(shared: &Arc<Shared>, delivery: Delivery, state: &mut LoopSta
     }
 }
 
-/// `wal_log = false` only on the WAL-replay path: the admission being
-/// replayed already has an unresolved `Admit` record in the log, so
-/// re-appending would only grow it.
-#[allow(clippy::too_many_arguments)]
-fn handle_transfer(
+/// Admits the agent a transfer delivered (or the WAL replays), as its
+/// `sent_ns` leg ends: the admission checks, then domain creation, then
+/// its task joins `batch`. `wal_log = false` only on the WAL-replay
+/// path: the admission being replayed already has an unresolved `Admit`
+/// record in the log, so re-appending would only grow it.
+fn admit(
     shared: &Arc<Shared>,
-    credentials: Credentials,
-    image: AgentImage,
-    hop: u64,
-    run_as: Urn,
-    arg: Vec<u8>,
-    ctx: SpanContext,
+    bundle: AgentBundle,
     sent_ns: u64,
     wal_log: bool,
     batch: &mut Vec<Box<dyn Task>>,
@@ -1831,105 +1737,81 @@ fn handle_transfer(
     // through domain creation) — the Admission span's duration.
     let pipeline_t0 = Instant::now();
     let now = shared.clock_now();
-
-    // 1. Credentials: tamper-evidence, expiry, certification.
-    let delegated = match credentials.verify(&shared.roots, now) {
-        Ok(rights) => rights,
-        Err(e) => {
-            shared.reject(
+    let (run_as, hop, ctx) = (&bundle.agent, bundle.hop, bundle.ctx);
+    let credentials = &bundle.credentials;
+    let admitted = shared
+        .admission_checks(now, run_as, credentials, &bundle.image)
+        .map_err(|refusal| match refusal {
+            Refusal::Credentials(e) => (
                 RejectKind::BadCredentials,
                 format!("{}: {e}", credentials.agent),
-            );
-            return; // nothing about the sender can be trusted; drop.
-        }
-    };
-
-    // 1b. The executing identity must be the credentialed agent or a
-    // child within its name subtree (Section 2: an agent's creator may be
-    // another agent). Anything else is an identity-forgery attempt.
-    if run_as != credentials.agent && !run_as.is_within(&credentials.agent) {
-        shared.reject(
-            RejectKind::BadIdentity,
-            format!("{} is not within {}", run_as, credentials.agent),
-        );
-        return;
-    }
-
-    // 2. Code: fresh name-space, re-verification, impostor refusal.
-    let mut namespace = match Namespace::with_system(&shared.system_modules) {
-        Ok(ns) => ns,
-        Err(e) => {
-            shared.reject(RejectKind::BadImage, format!("system namespace: {e}"));
-            return;
-        }
-    };
-    if image.validate().is_err() {
-        shared.reject(
-            RejectKind::BadImage,
-            format!("{run_as}: inconsistent image"),
-        );
-        shared.report_home(
-            &run_as,
-            &credentials,
-            ReportStatus::Refused("inconsistent image".into()),
-            Some((ctx.trace, ctx.span)),
-            None,
-        );
-        return;
-    }
-    let verified = match namespace.load(image.module.clone()) {
-        Ok(v) => v,
-        Err(e) => {
-            let kind = if matches!(e, ajanta_vm::LoadError::ShadowsSystemModule(_)) {
-                RejectKind::ImpostorModule
+                None,
+            ),
+            Refusal::Identity => (
+                RejectKind::BadIdentity,
+                format!("{run_as} is not within {}", credentials.agent),
+                None,
+            ),
+            Refusal::Namespace(e) => (RejectKind::BadImage, format!("system namespace: {e}"), None),
+            Refusal::Image => (
+                RejectKind::BadImage,
+                format!("{run_as}: inconsistent image"),
+                Some("inconsistent image".to_string()),
+            ),
+            Refusal::Module(e) => {
+                let kind = if matches!(e, ajanta_vm::LoadError::ShadowsSystemModule(_)) {
+                    RejectKind::ImpostorModule
+                } else {
+                    RejectKind::BadImage
+                };
+                (kind, format!("{run_as}: {e}"), Some(e.to_string()))
+            }
+        })
+        .and_then(|cleared| {
+            // Domain creation. For a dispatched child, the creator is the
+            // parent agent; otherwise the credentialed creator.
+            let creator = if *run_as == credentials.agent {
+                credentials.creator.clone()
             } else {
-                RejectKind::BadImage
+                credentials.agent.clone()
             };
-            shared.reject(kind, format!("{run_as}: {e}"));
-            shared.report_home(
-                &run_as,
-                &credentials,
-                ReportStatus::Refused(e.to_string()),
-                Some((ctx.trace, ctx.span)),
-                None,
-            );
-            return;
-        }
-    };
-
-    // 3. Authorization: server policy ∩ owner delegation.
-    let authorization =
-        shared
-            .policy
-            .read()
-            .authorize(&credentials.agent, &credentials.owner, &delegated);
-
-    // 4. Domain creation. For a dispatched child, the creator is the
-    // parent agent; otherwise the credentialed creator.
-    let creator = if run_as == credentials.agent {
-        credentials.creator.clone()
-    } else {
-        credentials.agent.clone()
-    };
-    let domain = match shared.domains.admit(
-        DomainId::SERVER,
-        run_as.clone(),
-        credentials.owner.clone(),
-        creator,
-        credentials.home.clone(),
-        authorization.clone(),
-        shared.agent_limits,
-    ) {
-        Ok(d) => d,
-        Err(e) => {
-            shared.reject(RejectKind::DuplicateAgent, e.to_string());
-            shared.report_home(
-                &run_as,
-                &credentials,
-                ReportStatus::Refused(e.to_string()),
-                Some((ctx.trace, ctx.span)),
-                None,
-            );
+            let domain = shared
+                .domains
+                .admit(
+                    DomainId::SERVER,
+                    run_as.clone(),
+                    credentials.owner.clone(),
+                    creator,
+                    credentials.home.clone(),
+                    cleared.authorization.clone(),
+                    shared.agent_limits,
+                )
+                .map_err(|e| {
+                    (
+                        RejectKind::DuplicateAgent,
+                        e.to_string(),
+                        Some(e.to_string()),
+                    )
+                })?;
+            Ok((cleared, domain))
+        });
+    let (cleared, domain) = match admitted {
+        Ok(admitted) => admitted,
+        Err((kind, detail, refused)) => {
+            // A refused image or name is reported home. Nothing about a
+            // sender whose credentials, identity or name-space fail can
+            // be trusted, so those are only journaled.
+            shared.reject(kind, detail);
+            if let Some(why) = refused {
+                let parent = Some((ctx.trace, ctx.span));
+                shared.report_home(
+                    run_as,
+                    credentials,
+                    ReportStatus::Refused(why),
+                    parent,
+                    None,
+                );
+            }
             return;
         }
     };
@@ -1938,20 +1820,12 @@ fn handle_transfer(
         domain,
         hop,
     });
-    // Durability point (tentpole): log the admission before this tick's
-    // outbox — carrying the ack queued above — is flushed. After this
-    // line a crash cannot lose the agent: either the ack never left (the
-    // sender retries) or the WAL replays it.
+    // Durability point: log the admission before this tick's outbox —
+    // carrying the ack queued in `handle_delivery` — is flushed. After
+    // this line a crash cannot lose the agent: either the ack never left
+    // (the sender retries) or the WAL replays it.
     if wal_log && shared.wal.is_some() {
-        shared.wal_admit(crate::bundle::AgentBundle {
-            agent: run_as.clone(),
-            hop,
-            credentials: credentials.clone(),
-            image: image.clone(),
-            arg: arg.clone(),
-            ctx,
-            warm: None,
-        });
+        shared.wal_append(WalRecord::Admit(Box::new(bundle.clone())));
     }
 
     // End-to-end hop latency on the virtual clock: from the sender's
@@ -1963,15 +1837,11 @@ fn handle_transfer(
         .record(HistoPath::HopLatency, now.saturating_sub(sent_ns));
     // The Admission span is a child of the transfer that delivered the
     // agent; everything the agent does on this server descends from it.
-    let admission_ctx = SpanContext {
-        trace: ctx.trace,
-        span: shared.journal.mint_span(),
-        parent: Some(ctx.span),
-    };
+    let admission_ctx = ctx.child(shared.journal.mint_span());
     shared.emit_span(
         admission_ctx,
         SpanKind::Admission,
-        &run_as,
+        run_as,
         format!("hop {hop}"),
         now,
         pipeline_t0.elapsed().as_nanos() as u64,
@@ -1991,17 +1861,17 @@ fn handle_transfer(
     batch.push(Box::new(AgentTask {
         shared: Arc::clone(shared),
         domain,
-        credentials,
-        entry: image.entry.clone(),
-        module: image.module.clone(),
+        credentials: bundle.credentials,
+        entry: bundle.image.entry,
+        module: bundle.image.module,
         hop,
-        run_as,
+        run_as: bundle.agent,
         admission_ctx,
         state: TaskState::Cold {
-            verified,
-            globals: image.globals,
-            arg,
-            authorization,
+            verified: cleared.verified,
+            globals: bundle.image.globals,
+            arg: bundle.arg,
+            authorization: cleared.authorization,
         },
     }));
 }
@@ -2212,10 +2082,6 @@ impl AgentTask {
         let credentials = &self.credentials;
         let run_as = &self.run_as;
         let (domain, hop) = (self.domain, self.hop);
-        let parent = self.parent();
-        // The WAL admission this stay's outcome settles, resolved when
-        // the outcome's frame (report or onward transfer) is acked.
-        let custody = || Some((run_as.clone(), hop));
 
         // Account fuel against the domain quota (for status queries; the
         // interpreter's own limit already bounded the run).
@@ -2231,97 +2097,47 @@ impl AgentTask {
         shared.mailboxes.lock().remove(run_as);
         let _ = shared.domains.evict(DomainId::SERVER, domain);
 
-        match outcome {
-            ExecOutcome::Finished(v) => {
-                shared.report_home(
-                    run_as,
-                    credentials,
-                    ReportStatus::Completed(v.display_lossy()),
-                    parent,
-                    custody(),
-                );
-            }
-            ExecOutcome::HostStopped { .. } => {
-                let pending = env.pending_go().cloned();
-                match pending {
-                    Some(go) => {
-                        // Re-package: same code, current globals, new entry.
-                        let image = AgentImage {
-                            module: self.module.clone(),
-                            globals: interp.globals().to_vec(),
-                            entry: go.entry,
+        // The stay ends in an onward transfer or a report home; either
+        // frame carries the stay's WAL admission, resolved on its ack.
+        let status = match outcome {
+            ExecOutcome::Finished(v) => ReportStatus::Completed(v.display_lossy()),
+            ExecOutcome::HostStopped { .. } => match env.pending_go().cloned() {
+                Some(go) => {
+                    // Re-package: same code, current globals, new entry.
+                    let image = AgentImage {
+                        module: self.module.clone(),
+                        globals: interp.globals().to_vec(),
+                        entry: go.entry,
+                    };
+                    if image.validate().is_ok() {
+                        // The onward leg is a sibling of the agent's other
+                        // on-server spans, and go_tour's itinerary tail
+                        // rides along as its dead-stop recovery plan;
+                        // plain go has none.
+                        let leg = Leg::Go {
+                            admission: self.admission_ctx,
+                            hop,
                         };
-                        if image.validate().is_err() {
-                            shared.report_home(
-                                run_as,
-                                credentials,
-                                ReportStatus::Failed(format!(
-                                    "go: entry {:?} missing or misshapen",
-                                    image.entry
-                                )),
-                                parent,
-                                custody(),
-                            );
-                        } else {
-                            shared.journal.append(Event::AgentDispatched {
-                                agent: run_as.clone(),
-                                dest: go.dest.clone(),
-                            });
-                            // The onward leg is a sibling of the agent's
-                            // other on-server spans: a fresh transfer span
-                            // under this hop's admission.
-                            let msg = Message::Transfer {
-                                run_as: run_as.clone(),
-                                credentials: credentials.clone(),
-                                image,
-                                hop: hop + 1,
-                                arg: Vec::new(),
-                                ctx: self.admission_ctx.child(shared.journal.mint_span()),
-                                sent_ns: shared.clock_now(),
-                            };
-                            // go_tour's itinerary tail rides along as the
-                            // dead-stop recovery plan; plain go has none.
-                            shared.send_transfer(
-                                &go.dest,
-                                msg,
-                                run_as.clone(),
-                                hop + 1,
-                                go.fallbacks.clone(),
-                                credentials.clone(),
-                                custody(),
-                            );
-                        }
+                        let (run_as, credentials) = (run_as.clone(), credentials.clone());
+                        shared.start_leg(go.dest, run_as, credentials, image, go.fallbacks, leg);
+                        return;
                     }
-                    None => {
-                        shared.report_home(
-                            run_as,
-                            credentials,
-                            ReportStatus::Failed("host stop without destination".into()),
-                            parent,
-                            custody(),
-                        );
-                    }
+                    ReportStatus::Failed(format!(
+                        "go: entry {:?} missing or misshapen",
+                        image.entry
+                    ))
                 }
-            }
+                None => ReportStatus::Failed("host stop without destination".into()),
+            },
             ExecOutcome::Trapped { kind, func, ip } => {
-                shared.report_home(
-                    run_as,
-                    credentials,
-                    ReportStatus::Failed(format!("trap at fn#{func}@{ip}: {kind}")),
-                    parent,
-                    custody(),
-                );
+                ReportStatus::Failed(format!("trap at fn#{func}@{ip}: {kind}"))
             }
             ExecOutcome::OutOfFuel => {
-                shared.report_home(
-                    run_as,
-                    credentials,
-                    ReportStatus::QuotaExceeded("instruction fuel exhausted".into()),
-                    parent,
-                    custody(),
-                );
+                ReportStatus::QuotaExceeded("instruction fuel exhausted".into())
             }
-        }
+        };
+        let custody = Some((run_as.clone(), hop));
+        shared.report_home(run_as, credentials, status, self.parent(), custody);
     }
 }
 

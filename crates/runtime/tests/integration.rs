@@ -1027,3 +1027,89 @@ fn forged_child_identity_outside_subtree_is_rejected() {
     assert_eq!(admitted(&world, 1), 0);
     world.shutdown();
 }
+
+/// Binds the guarded buffer, then calls `env.invoke` declared with a
+/// signature the server's ABI does not have: `(int, bytes) -> bytes`
+/// instead of `(int, bytes, bytes) -> bytes`.
+const MISDECLARED_INVOKE: &str = r#"
+    module misdeclared
+    import env.get_resource (bytes) -> int
+    import env.invoke (int, bytes) -> bytes
+    data rname = "ajn://site1.org/resource/jobs"
+    data mput = "put"
+
+    func run(arg: bytes) -> int
+      pushd rname
+      hostcall env.get_resource
+      pushd mput
+      hostcall env.invoke
+      drop
+      push 0
+      ret
+"#;
+
+/// Calls a host function the server does not provide.
+const UNPROVIDED_IMPORT: &str = r#"
+    module thief
+    import env.steal (bytes) -> int
+    data rname = "ajn://site1.org/resource/jobs"
+
+    func run(arg: bytes) -> int
+      pushd rname
+      hostcall env.steal
+      ret
+"#;
+
+/// Runs one agent against server 1's guarded buffer and returns the
+/// failure text of its report, after checking that the buffer stayed
+/// untouched and that server 1 journaled no `Access` span.
+fn refused_at_host_call(src: &str) -> String {
+    let mut world = World::new(2);
+    let resource = buffer_resource("site1.org");
+    world.server(1).register_resource(resource.clone()).unwrap();
+    let mut owner = world.owner("mallory");
+    let agent = owner.next_agent_name("abi");
+    let home = world.server(0).name().clone();
+    let creds = owner.credentials(agent, home, Rights::all(), u64::MAX);
+    world.server(0).launch(
+        world.server(1).name().clone(),
+        creds,
+        image(src, vec![], "run"),
+    );
+    let reports = world.server(0).wait_reports(1, WAIT);
+    let ReportStatus::Failed(msg) = &reports[0].status else {
+        panic!("expected a failure, got {:?}", reports[0].status);
+    };
+    assert!(msg.contains("security exception"), "{msg}");
+    assert_eq!(resource.inner().size(), 0, "the buffer was touched");
+    let accesses = world
+        .server(1)
+        .journal()
+        .snapshot()
+        .into_iter()
+        .filter(|r| {
+            matches!(
+                r.event,
+                Event::Span {
+                    kind: ajanta_core::SpanKind::Access,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(accesses, 0, "a refused host call journaled an access");
+    world.shutdown();
+    msg.clone()
+}
+
+#[test]
+fn host_call_with_a_non_abi_signature_is_refused() {
+    let msg = refused_at_host_call(MISDECLARED_INVOKE);
+    assert!(msg.contains("non-ABI signature"), "{msg}");
+}
+
+#[test]
+fn host_call_the_server_does_not_provide_is_refused() {
+    let msg = refused_at_host_call(UNPROVIDED_IMPORT);
+    assert!(msg.contains("is not provided by this server"), "{msg}");
+}

@@ -28,7 +28,27 @@ kernel depends on.
 
 An existing --out file is updated in place: each invocation adds or
 replaces only the workloads it ran, so workloads can be recorded one at a
-time. With --trace 1 the entry is stored as `<workload>+trace`.
+time. With --trace 1 the entry is stored as `<workload>+trace`. After
+recording, the script prints the file's verdict (below) and exits with it.
+
+    python3 scripts/bench_record.py --verdict BENCH_20.json
+
+reads a BENCH file and prints one verdict per workload and end-to-end
+metric of BENCHMARK.json, from the change's median against the parent's,
+signed by the metric's `better` direction and relative to the parent's
+median:
+
+  worse       it moved the wrong way by more than the metric's bound;
+  better      it moved the right way by more than the bound;
+  unresolved  the parent's Q3 - Q1 is wider than the bound relative to its
+              median, and the runs overlap: neither does every change run
+              beat every parent run, nor every parent run every change run;
+  within      otherwise.
+
+A clean separation settles a wide spread either way, so a regression that
+every pair shows is reported as worse, never as unresolved. The exit
+status is 1 if any metric is worse beyond its bound, else 0. Entries
+without end-to-end metrics (traced runs) are skipped.
 """
 
 import argparse
@@ -134,18 +154,63 @@ def record_workload(workload, exes, args, seconds, metric_spec, context):
     return entry
 
 
+def verdict(path, end_to_end):
+    """Prints the file's verdict per workload and end-to-end metric and
+    returns the exit status: 1 if any metric is worse beyond its bound."""
+    with open(path) as f:
+        doc = json.load(f)
+    worse = 0
+    for workload, entry in sorted(doc["workloads"].items()):
+        for m in end_to_end:
+            name, bound = m["name"], m["bound"]
+            if name not in entry["parent"]["runs"][0]["metrics"]:
+                continue
+            pa = [r["metrics"][name] for r in entry["parent"]["runs"]]
+            ch = [r["metrics"][name] for r in entry["change"]["runs"]]
+            sign = 1 if m["better"] == "higher" else -1
+            q = quartiles(pa)
+            med_c = statistics.median(ch)
+            moved = sign * (med_c - q["median"]) / q["median"]
+            spread = (q["q3"] - q["q1"]) / q["median"]
+            best_p, worst_p = max(sign * v for v in pa), min(sign * v for v in pa)
+            best_c, worst_c = max(sign * v for v in ch), min(sign * v for v in ch)
+            separated = worst_c > best_p or worst_p > best_c
+            if spread > bound and not separated:
+                word = "unresolved"
+            elif moved < -bound:
+                word = "worse"
+            elif moved > bound:
+                word = "better"
+            else:
+                word = "within"
+            worse += word == "worse"
+            won = sum(1 for p, c in zip(pa, ch) if sign * (c - p) > 0)
+            print(f"{workload:8} {name:17} {word:10} median {q['median']:.4g} -> {med_c:.4g} "
+                  f"({sign * moved:+.1%}), parent spread {spread:.0%}, bound {bound:.0%}, "
+                  f"change won {won}/{len(pa)} pairs")
+    print(f"{path}: {'REGRESSION' if worse else 'no regression'} "
+          f"({worse} metric(s) worse beyond their bound)")
+    return 1 if worse else 0
+
+
 def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--out", required=True)
-    p.add_argument("--parent", required=True, help="the parent commit's perfbench executable")
-    p.add_argument("--parent-commit", required=True)
-    p.add_argument("--workload", action="append", required=True)
+    p.add_argument("--verdict", metavar="BENCH_FILE",
+                   help="print the verdict of a BENCH file instead of recording")
+    p.add_argument("--out")
+    p.add_argument("--parent", help="the parent commit's perfbench executable")
+    p.add_argument("--parent-commit")
+    p.add_argument("--workload", action="append")
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trace", type=int, default=0, choices=[0, 1])
     args = p.parse_args()
 
     bench = spec()
+    if args.verdict:
+        sys.exit(verdict(args.verdict, bench["end_to_end"]))
+    if not (args.out and args.parent and args.parent_commit and args.workload):
+        p.error("recording needs --out, --parent, --parent-commit and --workload")
     metric_spec = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
     exes = {"parent": os.path.abspath(args.parent), "change": steady.build_here()}
     context = {"commits": {"parent": args.parent_commit, "change": change_tree()},
@@ -162,6 +227,7 @@ def main():
         with open(args.out, "w") as f:
             json.dump(doc, f, indent=1, sort_keys=True)
             f.write("\n")
+    sys.exit(verdict(args.out, bench["end_to_end"]))
 
 
 if __name__ == "__main__":
