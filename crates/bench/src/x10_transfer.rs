@@ -1,7 +1,8 @@
 //! X10 — agent transfer cost vs. mobile-state size.
 //!
 //! The transfer pipeline per hop: image serialization → sealing
-//! (ephemeral DH + SHA-CTR + HMAC + signature) → link transit →
+//! (SHA-CTR + HMAC, after a session's one ephemeral DH and signature) →
+//! link transit →
 //! open → credential re-verification → byte-code re-verification →
 //! admission. This experiment sweeps the carried state size and also
 //! micro-measures the crypto share so EXPERIMENTS.md can report how the
@@ -9,10 +10,7 @@
 
 use std::time::Instant;
 
-use ajanta_crypto::cert::Certificate;
-use ajanta_crypto::{DetRng, KeyPair, RootOfTrust};
-use ajanta_naming::Urn;
-use ajanta_net::secure::ChannelIdentity;
+use ajanta_crypto::DetRng;
 use ajanta_net::{LinkModel, ReplayGuard, SealedDatagram};
 use ajanta_runtime::itinerary::Itinerary;
 use ajanta_runtime::World;
@@ -77,54 +75,22 @@ pub fn run(sizes: &[usize]) -> Vec<TransferRow> {
         .collect()
 }
 
-/// Micro: seal + open for a payload of `size` bytes.
+/// Micro: seal + open for a payload of `size` bytes, one-shot: each
+/// datagram is a session of one frame, so this is the cost of a
+/// session's first frame.
 pub fn crypto_cost_ns(size: usize) -> f64 {
     let mut rng = DetRng::new(0xC0DE);
-    let ca = KeyPair::generate(&mut rng);
-    let mut roots = RootOfTrust::new();
-    roots.trust("ca", ca.public);
-    let a_name = Urn::server("a.org", ["a"]).unwrap();
-    let b_name = Urn::server("b.org", ["b"]).unwrap();
-    let a_keys = KeyPair::generate(&mut rng);
-    let b_keys = KeyPair::generate(&mut rng);
-    let a_cert = Certificate::issue(
-        a_name.to_string(),
-        a_keys.public,
-        "ca",
-        &ca,
-        u64::MAX,
-        1,
-        &mut rng,
-    );
-    let b_cert = Certificate::issue(
-        b_name.to_string(),
-        b_keys.public,
-        "ca",
-        &ca,
-        u64::MAX,
-        2,
-        &mut rng,
-    );
-    let a = ChannelIdentity {
-        name: a_name,
-        keys: a_keys,
-        chain: vec![a_cert],
-    };
-    let b = ChannelIdentity {
-        name: b_name.clone(),
-        keys: b_keys.clone(),
-        chain: vec![b_cert],
-    };
+    let (roots, a, b) = crate::substrate::datagram_parties(&mut rng);
     let payload: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
 
     let iters = 20u32;
     let start = Instant::now();
     for i in 0..iters {
-        let d = SealedDatagram::seal(&a, &b_name, b_keys.public, &payload, u64::from(i), &mut rng);
+        let d = SealedDatagram::seal(&a, &b.name, b.keys.public, &payload, u64::from(i), &mut rng);
         let bytes = d.to_bytes();
         let d2 = SealedDatagram::from_bytes(&bytes).unwrap();
         let mut guard = ReplayGuard::new(u64::MAX / 4);
-        d2.open(&b, &b_keys, &roots, u64::from(i), &mut guard)
+        d2.open(&b, &b.keys, &roots, u64::from(i), &mut guard)
             .unwrap();
     }
     start.elapsed().as_nanos() as f64 / f64::from(iters)

@@ -73,6 +73,13 @@ fn trial(agents: usize, stops: usize, mode: TransportMode, seed: u64) -> Transpo
         .collect::<HashSet<_>>()
         .len();
     let wall_ns = t0.elapsed().as_nanos() as u64;
+    // The last report can land before the acks of earlier legs, which
+    // ride other connections: read the histograms once every reliable
+    // frame is acked, so the RTT column counts every leg.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while world.servers.iter().any(|s| s.pending_send_count() > 0) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
 
     let row = TransportRow {
         mode,

@@ -281,30 +281,31 @@ impl DomainDatabase {
     }
 
     /// Every record, ordered by domain (status queries from owners,
-    /// Section 4). Records are copied [`LIST_PAGE`] at a time, each page
+    /// Section 4): [`DomainDatabase::project`] with a full copy of each.
+    pub fn iter(&self) -> impl Iterator<Item = AgentRecord> {
+        self.project(AgentRecord::clone).into_iter()
+    }
+
+    /// `f` of every record, ordered by domain, so a caller copies only
+    /// what it needs. Records are read [`LIST_PAGE`] at a time, each page
     /// under its own hold of the lock, so listing 100k agents stalls an
     /// admission or eviction for one page, never for the whole table.
-    /// Each record is a snapshot; an agent admitted or evicted while the
+    /// Each page is a snapshot; an agent admitted or evicted while the
     /// listing runs may or may not appear in it.
-    pub fn iter(&self) -> impl Iterator<Item = AgentRecord> {
-        let mut records: Vec<AgentRecord> = Vec::new();
+    pub fn project<T>(&self, mut f: impl FnMut(&AgentRecord) -> T) -> Vec<T> {
+        let mut out = Vec::new();
+        let mut from = DomainId(0);
         loop {
-            let from = records
-                .last()
-                .map_or(DomainId(0), |r| DomainId(r.domain.0 + 1));
-            // Collected apart, so growing `records` never holds the lock.
-            let page: Vec<AgentRecord> = self
-                .index
-                .read()
-                .by_domain
-                .range(from..)
-                .take(LIST_PAGE)
-                .map(|(_, r)| r.clone())
-                .collect();
+            // Collected apart, so growing `out` never holds the lock.
+            let mut page = Vec::with_capacity(LIST_PAGE);
+            for (id, record) in self.index.read().by_domain.range(from..).take(LIST_PAGE) {
+                page.push(f(record));
+                from = DomainId(id.0 + 1);
+            }
             let last = page.len() < LIST_PAGE;
-            records.extend(page);
+            out.append(&mut page);
             if last {
-                return records.into_iter();
+                return out;
             }
         }
     }
@@ -592,6 +593,43 @@ mod tests {
         let owners: Vec<_> = db.iter().map(|r| r.owner.clone()).collect();
         assert_eq!(owners.len(), 1);
         assert_eq!(owners[0], names().1);
+    }
+
+    /// A projection reads the same records as full copies do, across
+    /// page boundaries.
+    #[test]
+    fn projection_matches_full_records_across_pages() {
+        let db = DomainDatabase::new();
+        let (_, o, c, h) = names();
+        for i in 0..1_200 {
+            let agent = Urn::agent("umn.edu", [format!("a{i}")]).unwrap();
+            let d = db
+                .admit(
+                    DomainId::SERVER,
+                    agent,
+                    o.clone(),
+                    c.clone(),
+                    h.clone(),
+                    Rights::none(),
+                    UsageLimits::default(),
+                )
+                .unwrap();
+            db.charge_fuel(DomainId::SERVER, d, i).unwrap();
+            if i % 7 == 0 {
+                let r = Urn::resource("x.org", [format!("r{i}")]).unwrap();
+                db.add_binding(DomainId::SERVER, d, r).unwrap();
+            }
+            // Holes in the domain order, too.
+            if i % 5 == 0 {
+                db.evict(DomainId::SERVER, d).unwrap();
+            }
+        }
+        let summary = |r: &AgentRecord| (r.agent.clone(), r.domain, r.usage.fuel, r.usage.bindings);
+        let projected = db.project(summary);
+        let full: Vec<_> = db.iter().map(|r| summary(&r)).collect();
+        assert_eq!(projected.len(), 960);
+        assert!(projected.len() > 512, "records must span pages");
+        assert_eq!(projected, full);
     }
 
     #[test]

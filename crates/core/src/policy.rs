@@ -87,7 +87,7 @@ impl Groups {
 }
 
 /// A server's authorization policy.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct SecurityPolicy {
     rules: Vec<(PrincipalPattern, Rights)>,
     groups: Groups,

@@ -666,11 +666,12 @@ pub enum Counter {
     WalAppends,
     WalReplays,
     MailDelivered,
+    SessionsOpened,
 }
 
 impl Counter {
     /// All counters, in snapshot order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 30] = [
         Counter::EventsAppended,
         Counter::EventsDropped,
         Counter::AuditAllowed,
@@ -700,6 +701,7 @@ impl Counter {
         Counter::WalAppends,
         Counter::WalReplays,
         Counter::MailDelivered,
+        Counter::SessionsOpened,
     ];
 
     /// The exported metric name.
@@ -734,6 +736,7 @@ impl Counter {
             Counter::WalAppends => "ajanta_wal_appends_total",
             Counter::WalReplays => "ajanta_wal_replays_total",
             Counter::MailDelivered => "ajanta_mail_delivered_total",
+            Counter::SessionsOpened => "ajanta_sessions_opened_total",
         }
     }
 
@@ -769,6 +772,7 @@ impl Counter {
             Counter::WalAppends => "Admission records appended to the write-ahead log.",
             Counter::WalReplays => "In-flight agents re-admitted from a replayed WAL.",
             Counter::MailDelivered => "Mail messages delivered to resident agents.",
+            Counter::SessionsOpened => "Datagram sessions opened to peer servers.",
         }
     }
 }

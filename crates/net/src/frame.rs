@@ -10,8 +10,8 @@
 //! frames now arrive from real sockets where any bytes at all can show
 //! up.
 //!
-//! What travels inside a frame on an authenticated connection is a
-//! sealed [`crate::secure::SecureChannel`] record whose plaintext is a
+//! What travels inside a frame on a connection the
+//! [`crate::secure::SecureChannel`] handshake admitted is a
 //! [`ChannelFrame`]: the claimed origin, the destination endpoint, and
 //! the opaque payload — the same triple [`crate::sim::Delivery`]
 //! carries on the simulation.
@@ -165,7 +165,7 @@ impl FrameBuffer {
     }
 }
 
-/// The plaintext a secure channel carries per frame: who claims to have
+/// What a socket connection carries per frame: who claims to have
 /// sent it, which endpoint it is for, and the opaque bytes — exactly
 /// the [`crate::sim::Delivery`] triple, minus the arrival instant the
 /// receiver stamps itself.

@@ -27,9 +27,13 @@
 //!   contract.
 //! * [`frame`] — varint length framing for byte streams, with typed
 //!   (never panicking) decode errors.
+//! * [`datagram`] — [`SealedDatagram`]: the sealed frame every
+//!   server-to-server message travels in, on per-peer [`Session`]s set
+//!   up from a signed ticket, with a [`ReplayGuard`] on the receiving
+//!   side.
 //! * [`socket`] — [`SocketTransport`]: real TCP / Unix-domain
-//!   listeners and dialers carrying secure-channel frames, for worlds
-//!   that span OS processes.
+//!   listeners and dialers whose connections are admitted by the
+//!   secure-channel handshake, for worlds that span OS processes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -48,7 +52,7 @@ pub use adversary::{
     Adversary, Dropper, Eavesdropper, Forger, LinkFault, Replayer, ServerCrash, Tamperer,
     TransitAction,
 };
-pub use datagram::{DatagramError, ReplayGuard, SealedDatagram};
+pub use datagram::{DatagramError, Opened, ReplayGuard, SealedDatagram, Session};
 pub use frame::{ChannelFrame, FrameBuffer, FrameError, MAX_FRAME};
 pub use link::LinkModel;
 pub use secure::{ChannelError, ChannelIdentity, PendingInitiation, SecureChannel};

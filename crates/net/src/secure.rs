@@ -25,6 +25,11 @@
 //! B's signature covers A's complete Hello, so a man-in-the-middle cannot
 //! splice handshakes. (With the simulation-grade 62-bit group this is
 //! structurally, not computationally, secure — see `ajanta-crypto`.)
+//!
+//! The socket transport runs the handshake to admit each connection
+//! and then carries frames unsealed: everything the runtime sends is a
+//! [`crate::datagram::SealedDatagram`] already. The frame API stays for
+//! callers that want a sealed stream of their own.
 
 use ajanta_crypto::cert::Certificate;
 use ajanta_crypto::modmath::pow_mod;
@@ -460,23 +465,6 @@ impl SecureChannel {
     /// Frames accepted so far.
     pub fn frames_received(&self) -> u64 {
         self.recv_seq
-    }
-
-    /// Splits the session into independently owned halves so a socket
-    /// connection's writer and reader threads never share a lock: the
-    /// first half must only `seal`, the second must only `open`. The
-    /// two sequence counters are already independent (send_seq vs
-    /// recv_seq), so the split changes no wire behaviour.
-    pub(crate) fn split(self) -> (SecureChannel, SecureChannel) {
-        let send = SecureChannel {
-            peer: self.peer.clone(),
-            k_enc: self.k_enc,
-            k_mac: self.k_mac,
-            dir: self.dir,
-            send_seq: self.send_seq,
-            recv_seq: self.recv_seq,
-        };
-        (send, self)
     }
 }
 

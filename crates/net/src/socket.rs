@@ -9,43 +9,44 @@
 //! 2. **Frames** — [`crate::frame`] varint length framing cuts the pipe
 //!    back into discrete records; malformed prefixes surface as typed
 //!    errors and close the connection, never panic.
-//! 3. **Secure channel** — every connection starts with the
+//! 3. **Admission** — every connection starts with the
 //!    [`crate::secure`] mutual-authentication handshake (dialer
-//!    initiates); each subsequent frame is sealed with the session
-//!    keys. The channel is split into independently owned send/receive
-//!    halves so the writer path and the reader thread never contend.
-//! 4. **Channel frames** — the sealed plaintext is a [`ChannelFrame`]:
-//!    claimed origin, destination endpoint, payload — the same triple
+//!    initiates). A peer whose chain or signature fails never reaches
+//!    the frame loop. The handshake only admits the connection: frames
+//!    are not sealed a second time, because every frame the runtime
+//!    sends is already a [`crate::datagram::SealedDatagram`], which
+//!    carries its own confidentiality, integrity, sender authentication
+//!    and replay defence. Sim and sockets thus carry the same
+//!    once-sealed bytes.
+//! 4. **Channel frames** — each frame is a [`ChannelFrame`]: claimed
+//!    origin, destination endpoint, payload — the same triple
 //!    [`Delivery`] carries on the simulation. The receiver stamps the
 //!    arrival instant from its own clock.
 //!
 //! The transport clock is *wall-clock nanoseconds since the UNIX
 //! epoch*, read on demand ([`VClock::wall`]): all processes on one
 //! machine therefore share a clock epoch, which keeps cross-process hop
-//! latencies and the sealed-datagram replay window meaningful, and time
-//! passes on a quiet network as it does on a busy one. (The
-//! [`crate::datagram::ReplayGuard`] only rejects *stale* timestamps, so
-//! a receiver whose clock trails a sender's never false-positives.) The
-//! wall is sampled **once**, at bind, and extended by the monotonic
-//! clock thereafter — a backwards NTP step after bind therefore cannot
-//! stall the transport clock or freeze frame timestamps.
+//! latencies meaningful and lets a restarted server refuse datagram
+//! sessions numbered before its incarnation, and time passes on a quiet
+//! network as it does on a busy one. The wall is sampled **once**, at
+//! bind, and extended by the monotonic clock thereafter — a backwards
+//! NTP step after bind therefore cannot stall the transport clock or
+//! freeze frame timestamps.
 //!
 //! **The outbound data plane is batched.** `send_as` never touches a
-//! socket: it encodes the frame body into the destination peer's
-//! outbound lane (pooled, grow-only buffers — zero heap allocation at
-//! steady state) and wakes that peer's writer thread. The writer seals
-//! everything queued since its last wakeup — each frame's varint
-//! length header is written up front from [`SecureChannel::sealed_len`],
-//! so encode → seal → frame is one pass over one buffer — and pushes
-//! the whole batch through a single `write_all`. A burst of N frames
-//! costs one syscall instead of N; the frames-per-write distribution is
-//! observable via [`Transport::on_write_batch`] and the
+//! socket: it appends the framed body (`varint-length ‖ channel frame`)
+//! to the destination peer's outbound lane (pooled, grow-only buffers —
+//! zero heap allocation at steady state) and wakes that peer's writer
+//! thread. The writer takes everything queued since its last wakeup and
+//! pushes it through a single `write_all`, as queued. A burst of N
+//! frames costs one syscall instead of N; the frames-per-write
+//! distribution is observable via [`Transport::on_write_batch`] and the
 //! `frames_coalesced` / `write_syscalls` counters in [`NetStats`].
 //!
 //! What the simulation models that a real wire cannot: [`LinkModel`]
 //! latency/loss shaping (`set_link` is a no-op here — the wire is its
 //! own link model) and adversaries between hosts. The [`Adversary`]
-//! hook still applies on the send path, before sealing, so
+//! hook still applies on the send path, before framing, so
 //! `Drop`/`Tamper` fault injection behaves identically over sockets.
 //!
 //! [`LinkModel`]: crate::link::LinkModel
@@ -65,7 +66,7 @@ use parking_lot::{Condvar, Mutex};
 
 use ajanta_crypto::{DetRng, RootOfTrust};
 use ajanta_naming::Urn;
-use ajanta_wire::{write_varint, Decoder, Wire};
+use ajanta_wire::{write_varint, Wire};
 
 use crate::adversary::{Adversary, TransitAction};
 use crate::frame::{encode_channel_frame_into, encode_frame, ChannelFrame, FrameBuffer};
@@ -314,11 +315,10 @@ impl TransportStats {
     }
 }
 
-/// Pending outbound traffic for one peer: `varint-length ‖ plaintext
+/// Pending outbound traffic for one peer: `varint-length ‖
 /// channel-frame body` records appended by senders, drained in order by
-/// the peer's writer thread. Bodies stay plaintext in the queue so a
-/// redial can re-seal them on the fresh session — sealed bytes are
-/// bound to one channel's keys and sequence space.
+/// the peer's writer thread. The queue is the wire format, so a batch
+/// is written as it stands, and a redial writes it again unchanged.
 #[derive(Default)]
 struct PeerTx {
     queue: Vec<u8>,
@@ -348,9 +348,6 @@ struct ConnHandle {
 
 /// The writer thread's view of its established connection.
 struct WriterConn {
-    /// Send half of the secure channel (the recv half lives on the
-    /// connection's reader thread).
-    chan: SecureChannel,
     stream: Stream,
     /// Set by the reader thread on EOF/error, by `drop_connections`,
     /// or by the writer itself on a failed write.
@@ -487,7 +484,7 @@ impl SockInner {
         let chan = pending
             .finish(&self.roots, &ack, self.clock.now())
             .map_err(|e| NetError::Io(format!("handshake with {peer} failed: {e}")))?;
-        let (send_half, recv_half) = chan.split();
+        let peer_name = chan.peer().clone();
 
         let reader = stream.try_clone().map_err(io)?;
         let raw = stream.try_clone().map_err(io)?;
@@ -500,7 +497,7 @@ impl SockInner {
         let reader_dead = Arc::clone(&dead);
         let handle = std::thread::Builder::new()
             .name("ajanta-conn".into())
-            .spawn(move || reader_loop(inner, reader, recv_half, Some(reader_dead)))
+            .spawn(move || reader_loop(inner, reader, peer_name, Some(reader_dead)))
             .expect("spawn reader thread");
         self.track_thread(handle);
         self.conns.lock().insert(
@@ -510,11 +507,7 @@ impl SockInner {
                 raw,
             },
         );
-        Ok(WriterConn {
-            chan: send_half,
-            stream,
-            dead,
-        })
+        Ok(WriterConn { stream, dead })
     }
 
     /// The outbound lane for `peer`, creating it (and its writer
@@ -544,8 +537,7 @@ impl SockInner {
     /// Queues one frame body on `to`'s outbound lane. The sender never
     /// touches the socket: it encodes the body into the lane's pooled
     /// buffers (zero heap allocation at steady state) and wakes the
-    /// writer, which seals and coalesces everything queued into one
-    /// stream write.
+    /// writer, which coalesces everything queued into one stream write.
     fn enqueue_remote(
         self: &Arc<Self>,
         from: &Urn,
@@ -627,31 +619,18 @@ impl SockInner {
     }
 }
 
-/// Splits the next `varint-length ‖ body` record off a lane queue. The
-/// queue format is produced solely by `enqueue_remote`, so a malformed
-/// record is a bug, not input.
-fn split_next_body(buf: &[u8]) -> (&[u8], &[u8]) {
-    let mut d = Decoder::new(buf);
-    let len = d.get_varint().expect("lane queue varint") as usize;
-    let consumed = buf.len() - d.remaining();
-    (&buf[consumed..consumed + len], &buf[consumed + len..])
-}
-
-/// Drains one peer's outbound lane: waits for queued frame bodies,
-/// seals each on the connection's channel with the outer frame header
-/// written up front (one pass, no copies), and pushes the whole batch
-/// through a single `write_all`. Owns the connection lifecycle — dials
-/// lazily, redials once per batch on a failed write and re-seals on
-/// the fresh session (reconnect-on-drop); a batch that still cannot be
+/// Drains one peer's outbound lane: waits for queued frames and pushes
+/// the whole batch, already in wire format, through a single
+/// `write_all`. Owns the connection lifecycle — dials lazily, redials
+/// once per batch on a failed write and writes the batch again on the
+/// fresh connection (reconnect-on-drop); a batch that still cannot be
 /// written counts as dropped datagrams, which the runtime's ack/retry
 /// layer recovers.
 fn writer_loop(inner: Arc<SockInner>, link: Arc<PeerLink>) {
     let mut conn: Option<WriterConn> = None;
-    // Swapped-in queue of length-prefixed plaintext bodies.
+    // Swapped-in queue of length-prefixed frame bodies.
     let mut pending: Vec<u8> = Vec::new();
     let mut pending_frames: u64 = 0;
-    // Sealed-and-framed bytes for one coalesced write.
-    let mut out: Vec<u8> = Vec::new();
 
     loop {
         // Pull everything queued as the next batch.
@@ -679,7 +658,7 @@ fn writer_loop(inner: Arc<SockInner>, link: Arc<PeerLink>) {
             tx.frames = 0;
         }
 
-        // Seal and write the batch; redial once on failure.
+        // Write the batch; redial once on failure.
         let mut attempt = 0;
         loop {
             attempt += 1;
@@ -703,23 +682,14 @@ fn writer_loop(inner: Arc<SockInner>, link: Arc<PeerLink>) {
                     Err(_) => continue,
                 },
             };
-            out.clear();
-            let mut rest: &[u8] = &pending;
-            while !rest.is_empty() {
-                let (body, tail) = split_next_body(rest);
-                write_varint(&mut out, c.chan.sealed_len(body.len()) as u64);
-                c.chan.seal_into(body, &mut out);
-                rest = tail;
-            }
-            match c.stream.write_all(&out) {
+            match c.stream.write_all(&pending) {
                 Ok(()) => {
                     inner.record_write_batch(pending_frames);
                     break;
                 }
                 Err(_) => {
-                    // The plaintext batch is still in `pending`: a
-                    // redial re-seals it on the fresh channel (sealed
-                    // bytes cannot cross sessions).
+                    // The batch is still in `pending`: a redial writes
+                    // it again on the fresh connection.
                     c.dead.store(true, Ordering::Release);
                     c.stream.shutdown();
                     conn = None;
@@ -731,22 +701,21 @@ fn writer_loop(inner: Arc<SockInner>, link: Arc<PeerLink>) {
     }
 }
 
-/// Reads frames from `stream`, opens them on the receive half of the
-/// channel, and routes the decoded channel frames. Exits on EOF,
-/// stream error, framing error, or channel error (once a stream
-/// misbehaves its sequence integrity is gone — the dialer reconnects).
+/// Reads frames from `stream`, an admitted connection from `peer`, and
+/// routes the decoded channel frames. Exits on EOF, stream error or
+/// framing error (once a stream misbehaves its framing is gone — the
+/// dialer reconnects).
 fn reader_loop(
     inner: Arc<SockInner>,
     mut stream: Stream,
-    mut chan: SecureChannel,
+    peer: Urn,
     dead: Option<Arc<AtomicBool>>,
 ) {
-    // All three buffers are grow-only and reused across frames: the
-    // receive path allocates nothing per frame until the decoded
-    // `ChannelFrame` itself (whose payload the Delivery must own).
+    // Both buffers are grow-only and reused across frames: the receive
+    // path allocates nothing per frame until the decoded `ChannelFrame`
+    // itself (whose payload the Delivery must own).
     let mut fb = FrameBuffer::new();
     let mut buf = [0u8; 64 * 1024];
-    let mut plain: Vec<u8> = Vec::new();
     'conn: loop {
         if inner.stop.load(Ordering::Acquire) {
             break;
@@ -766,24 +735,14 @@ fn reader_loop(
         loop {
             match fb.next_frame_ref() {
                 Ok(None) => break,
-                Ok(Some(frame)) => {
-                    plain.clear();
-                    match chan.open_into(frame, &mut plain) {
-                        Ok(()) => match ChannelFrame::from_bytes(&plain) {
-                            Ok(cf) => inner.route(cf),
-                            Err(e) => inner.reject_frame(&format!(
-                                "undecodable channel frame from {}: {e}",
-                                chan.peer()
-                            )),
-                        },
-                        Err(e) => {
-                            inner.reject_frame(&format!("channel error from {}: {e}", chan.peer()));
-                            break 'conn;
-                        }
+                Ok(Some(frame)) => match ChannelFrame::from_bytes(frame) {
+                    Ok(cf) => inner.route(cf),
+                    Err(e) => {
+                        inner.reject_frame(&format!("undecodable channel frame from {peer}: {e}"))
                     }
-                }
+                },
                 Err(e) => {
-                    inner.reject_frame(&format!("bad framing from {}: {e}", chan.peer()));
+                    inner.reject_frame(&format!("bad framing from {peer}: {e}"));
                     break 'conn;
                 }
             }
@@ -828,9 +787,9 @@ fn inbound_loop(inner: Arc<SockInner>, mut stream: Stream) {
         return;
     }
     // Inbound connections are receive-only: replies dial back through
-    // the route table, so no send half is kept.
-    let (_send_half, recv_half) = chan.split();
-    reader_loop(inner, stream, recv_half, None);
+    // the route table.
+    let peer = chan.peer().clone();
+    reader_loop(inner, stream, peer, None);
 }
 
 fn accept_loop(inner: Arc<SockInner>, listener: Listener) {
@@ -912,7 +871,7 @@ fn read_one_frame(
 /// per-peer outbound lane; the lane's writer thread dials lazily on
 /// the first batch, coalesces queued frames into single writes, and
 /// redials once per batch when a write fails (reconnect-on-drop),
-/// re-sealing the still-plaintext batch on the fresh session. A batch
+/// writing the batch again on the fresh connection. A batch
 /// that cannot be written counts as dropped — exactly a lost
 /// datagram, which the runtime's retry layer already recovers.
 pub struct SocketTransport {

@@ -137,7 +137,7 @@ pub trait Transport: Send + Sync {
     fn reset_stats(&self);
 
     /// Installs (or clears) the network adversary. Socket transports
-    /// apply it on the send path (before sealing), so `Tamper` and
+    /// apply it on the send path (before framing), so `Tamper` and
     /// `Drop` behave exactly as on the simulation; what cannot be
     /// modeled is an adversary on the far side of a real wire.
     fn set_adversary(&self, adversary: Option<Arc<dyn Adversary>>);

@@ -774,23 +774,19 @@ pub fn serve_request(views: &[ControlView], req: &ControlRequest) -> ControlResp
 fn list_agents(v: &ControlView) -> Vec<AgentEntry> {
     let server = v.name().clone();
     let hibernated: std::collections::HashSet<Urn> = v.hibernated_list().into_iter().collect();
-    let mut out: Vec<AgentEntry> = v
-        .agent_records()
-        .into_iter()
-        .map(|r| AgentEntry {
-            server: server.clone(),
-            agent: r.agent.clone(),
-            state: if hibernated.contains(&r.agent) {
-                AgentState::Hibernated
-            } else {
-                AgentState::Resident
-            },
-            hop: 0,
-            domain: r.domain.0,
-            fuel_used: r.usage.fuel,
-            bindings: r.usage.bindings as u64,
-        })
-        .collect();
+    let mut out: Vec<AgentEntry> = v.project_agents(|r| AgentEntry {
+        server: server.clone(),
+        agent: r.agent.clone(),
+        state: if hibernated.contains(&r.agent) {
+            AgentState::Hibernated
+        } else {
+            AgentState::Resident
+        },
+        hop: 0,
+        domain: r.domain.0,
+        fuel_used: r.usage.fuel,
+        bindings: r.usage.bindings as u64,
+    });
     for (agent, hop) in v.in_flight_agents() {
         out.push(AgentEntry {
             server: server.clone(),

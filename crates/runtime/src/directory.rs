@@ -1,12 +1,12 @@
 //! The server certificate directory.
 //!
-//! Sealed datagrams need the recipient's static public key; servers learn
-//! each other's keys from certificates published in a shared directory —
-//! the stand-in for the PKI / naming service the paper abstracts away
-//! (Section 5.2 notes an on-line authentication service "may not always
-//! be available", hence certificates are also carried inside credentials
-//! and datagrams; the directory is only a *bootstrap* for recipient
-//! keys).
+//! A datagram session needs the recipient's static public key; servers
+//! learn each other's keys, once per session, from certificates
+//! published in a shared directory — the stand-in for the PKI / naming
+//! service the paper abstracts away (Section 5.2 notes an on-line
+//! authentication service "may not always be available", hence
+//! certificates are also carried inside credentials and datagrams; the
+//! directory is only a *bootstrap* for recipient keys).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -39,16 +39,26 @@ impl Directory {
         self.inner.read().get(name).cloned()
     }
 
-    /// The **verified** public key for `name`: the certificate is checked
-    /// against `roots` at time `now` and its subject must match. Callers
-    /// should always prefer this over [`Directory::certificate`].
-    pub fn verified_key(&self, name: &Urn, roots: &RootOfTrust, now: u64) -> Option<PublicKey> {
+    /// The **verified** public key for `name`, with the `not_after` of
+    /// the certificate it came from: the certificate is checked against
+    /// `roots` at time `now` and its subject must match. Callers should
+    /// always prefer this over [`Directory::certificate`].
+    pub fn verified(&self, name: &Urn, roots: &RootOfTrust, now: u64) -> Option<(PublicKey, u64)> {
         let cert = self.certificate(name)?;
         if cert.subject != name.to_string() {
             return None;
         }
+        let not_after = cert.not_after;
         let chain = [cert];
-        roots.verify_chain(&chain, now).ok().map(|(_, k)| k)
+        roots
+            .verify_chain(&chain, now)
+            .ok()
+            .map(|(_, k)| (k, not_after))
+    }
+
+    /// The verified public key for `name` (see [`Directory::verified`]).
+    pub fn verified_key(&self, name: &Urn, roots: &RootOfTrust, now: u64) -> Option<PublicKey> {
+        self.verified(name, roots, now).map(|(key, _)| key)
     }
 
     /// Number of published certificates.

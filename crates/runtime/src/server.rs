@@ -30,7 +30,7 @@ use ajanta_core::{
 use ajanta_crypto::{DetRng, RootOfTrust};
 use ajanta_naming::Urn;
 use ajanta_net::secure::ChannelIdentity;
-use ajanta_net::{Delivery, NetEndpoint, ReplayGuard, SealedDatagram, Transport};
+use ajanta_net::{Delivery, NetEndpoint, ReplayGuard, SealedDatagram, Session, Transport};
 use ajanta_vm::{
     AgentImage, ExecOutcome, Interpreter, Limits, Module, Namespace, SliceOutcome, Value,
     VerifiedModule,
@@ -46,11 +46,6 @@ use crate::messages::{Ack, AgentStatus, Message, Report, ReportStatus};
 use crate::sched::{SchedDepths, Scheduler, Task, DEFAULT_SLICE_FUEL};
 use crate::vmres::VmResource;
 use crate::wal::{AdmissionWal, WalRecord};
-
-/// Replay-guard freshness window (virtual ns) of every server: a quarter
-/// of the clock's range, so no datagram ever ages out and every nonce
-/// stays remembered.
-const REPLAY_WINDOW_NS: u64 = u64::MAX / 4;
 
 /// Why [`ServerHandle::query_status`] failed — a dead/unreachable server
 /// is now distinguishable from a server that replied "not resident".
@@ -75,6 +70,7 @@ impl std::fmt::Display for QueryError {
 impl std::error::Error for QueryError {}
 
 /// Configuration for one server.
+#[derive(Clone)]
 pub struct ServerConfig {
     /// The server's global name.
     pub name: Urn,
@@ -123,6 +119,26 @@ pub struct ServerConfig {
 /// Queued (sender, payload) mail for one agent.
 type Mailbox = VecDeque<(Urn, Vec<u8>)>;
 
+/// The sending half of a server's datagram sessions: one per peer,
+/// opened at the first send to it and kept until the peer's certificate
+/// expires or the peer is found to have restarted.
+#[derive(Default)]
+struct Outbound {
+    peers: HashMap<Urn, OutPeer>,
+    /// The newest session number used, so numbers only grow.
+    last: u64,
+}
+
+/// One peer's entry in [`Outbound`].
+#[derive(Default)]
+struct OutPeer {
+    session: Option<Arc<Session>>,
+    /// When `session` was opened (transport clock).
+    opened_at: u64,
+    /// The newest incarnation of the peer seen in its tickets.
+    born: u64,
+}
+
 /// State shared between the server loop, agent worker threads, and the
 /// control handle.
 pub struct Shared {
@@ -150,6 +166,12 @@ pub struct Shared {
     /// `wait_agents` block here instead of busy-polling.
     reports_cv: Condvar,
     rng: Mutex<DetRng>,
+    /// When this incarnation started, on the transport clock: every
+    /// session it opens carries it, and its replay guard refuses
+    /// sessions numbered below it.
+    born: u64,
+    /// Datagram sessions to peers (see [`Shared::session_to`]).
+    outbound: Mutex<Outbound>,
     /// The fault-tolerant migration layer's state: the receive-side
     /// dedup memory and the unacked frames, which the server loop
     /// services. Never held across a send, span or WAL append.
@@ -478,21 +500,80 @@ impl Shared {
         Ok(child)
     }
 
-    /// Seals and sends one protocol message to a peer server.
+    /// Seals and sends one protocol message to a peer server, on this
+    /// server's session to it.
     pub fn send_message(&self, to: &Urn, msg: &Message) -> Result<(), String> {
         let now = self.clock_now();
-        let key = self
-            .directory
-            .verified_key(to, &self.roots, now)
-            .ok_or_else(|| format!("no verified directory entry for {to}"))?;
-        let payload = msg.to_bytes();
-        let datagram = {
-            let mut rng = self.rng.lock();
-            SealedDatagram::seal(&self.identity, to, key, &payload, now, &mut rng)
-        };
+        let datagram = self.session_to(to, now)?.seal(&msg.to_bytes(), now);
         self.net
             .send_as(&self.name, to, datagram.to_bytes())
             .map_err(|e| e.to_string())
+    }
+
+    /// The session to `to`. A new one is opened when there is none or
+    /// the peer's certificate has expired: one directory lookup, one
+    /// Diffie–Hellman share and one signature per session, none per
+    /// frame. Its number is at least `now`, above every number used
+    /// before, and at least the peer's newest incarnation, which refuses
+    /// any session numbered below it.
+    fn session_to(&self, to: &Urn, now: u64) -> Result<Arc<Session>, String> {
+        let mut out = self.outbound.lock();
+        if let Some(session) = out.peers.get(to).and_then(|p| p.session.as_ref()) {
+            if session.live(now) {
+                return Ok(Arc::clone(session));
+            }
+        }
+        let (key, expires) = self
+            .directory
+            .verified(to, &self.roots, now)
+            .ok_or_else(|| format!("no verified directory entry for {to}"))?;
+        let peer_born = out.peers.get(to).map_or(0, |p| p.born);
+        let number = now.max(out.last.saturating_add(1)).max(peer_born);
+        out.last = number;
+        let session = Arc::new(Session::new(
+            &self.identity,
+            to,
+            key,
+            self.born,
+            number,
+            expires,
+            &mut self.rng.lock(),
+        ));
+        let peer = out.peers.entry(to.clone()).or_default();
+        peer.session = Some(Arc::clone(&session));
+        peer.opened_at = now;
+        self.journal.counters().add(Counter::SessionsOpened, 1);
+        Ok(session)
+    }
+
+    /// A frame from `peer` began a session of the peer's incarnation
+    /// `born`. When that incarnation is new, the session to the peer
+    /// that is numbered below it is one the peer refuses: it is dropped,
+    /// so the next send opens a fresh one. A new session of an
+    /// incarnation already seen changes nothing, so two servers never
+    /// reopen sessions in answer to each other.
+    fn peer_started(&self, peer: &Urn, born: u64) {
+        let mut out = self.outbound.lock();
+        let p = out.peers.entry(peer.clone()).or_default();
+        if born > p.born {
+            p.born = born;
+            if p.session.as_ref().is_some_and(|s| s.number() < born) {
+                p.session = None;
+            }
+        }
+    }
+
+    /// Drops the session to `peer` if it was already open when a frame
+    /// that is now due for a retry left at `sent_at`, so the retry opens
+    /// a fresh one. The server loop asks for this when nothing from the
+    /// peer has opened since: the peer may have restarted and refuse the
+    /// session.
+    fn reopen_session(&self, peer: &Urn, sent_at: u64) {
+        if let Some(p) = self.outbound.lock().peers.get_mut(peer) {
+            if p.opened_at <= sent_at {
+                p.session = None;
+            }
+        }
     }
 
     /// Records a report arriving at this (home) server, journaling the
@@ -680,11 +761,12 @@ impl Shared {
 
     /// One retry pass of the server loop: re-sends every frame whose ack
     /// grace has lapsed and dead-stops those out of attempts. Returns
-    /// how long the loop may block before the next pass.
-    fn service_due(&self) -> Duration {
+    /// how long the loop may block before the next pass. `guard` says
+    /// when each peer was last heard from.
+    fn service_due(&self, guard: &ReplayGuard) -> Duration {
         let due = self.custody.lock().take_due(self.started.elapsed());
         for (key, entry, waited) in due.resend {
-            self.resend(key, entry, waited);
+            self.resend(key, entry, waited, guard);
         }
         for (key, entry) in due.exhausted {
             self.dead_stop(key, entry);
@@ -692,7 +774,7 @@ impl Shared {
         due.wait
     }
 
-    fn resend(&self, key: SendKey, mut entry: PendingSend, waited: Duration) {
+    fn resend(&self, key: SendKey, mut entry: PendingSend, waited: Duration, guard: &ReplayGuard) {
         // The retry is *modeled* at the instant its ack grace ran out:
         // advance the virtual clock to the last attempt plus the grace
         // actually waited (a no-op when other traffic has already passed
@@ -728,6 +810,14 @@ impl Shared {
             entry.last_sent_ns,
             backoff,
         );
+        // Nothing from the peer has opened since the frame left: the
+        // peer may have restarted and refuse the session the frame rode.
+        if guard
+            .last_opened(&entry.dest)
+            .is_none_or(|t| t < entry.last_sent_ns)
+        {
+            self.reopen_session(&entry.dest, entry.last_sent_ns);
+        }
         self.send_again(key, entry, now);
     }
 
@@ -1250,10 +1340,13 @@ impl ControlView {
         self.shared.domains.len()
     }
 
-    /// Domain-database records of every resident agent (including
-    /// hibernated ones — their domains survive the spill).
-    pub fn agent_records(&self) -> Vec<ajanta_core::AgentRecord> {
-        self.shared.domains.iter().collect()
+    /// `f` of the domain-database record of every resident agent
+    /// (including hibernated ones — their domains survive the spill), in
+    /// domain order, read a page at a time (see
+    /// [`DomainDatabase::project`]): a listing copies only what it
+    /// renders.
+    pub fn project_agents<T>(&self, f: impl FnMut(&ajanta_core::AgentRecord) -> T) -> Vec<T> {
+        self.shared.domains.project(f)
     }
 
     /// The record of one resident agent, if present.
@@ -1395,6 +1488,7 @@ impl AgentServer {
             }
             None => (None, Vec::new()),
         };
+        let born = net.clock().now();
         let shared = Arc::new(Shared {
             name: config.name.clone(),
             identity: config.identity,
@@ -1413,7 +1507,13 @@ impl AgentServer {
             journal,
             reports: Mutex::new(Vec::new()),
             reports_cv: Condvar::new(),
-            rng: Mutex::new(DetRng::new(config.seed)),
+            // A restarted incarnation draws fresh ephemerals and
+            // signature nonces: the same seed would replay the previous
+            // incarnation's, and one nonce under two messages gives the
+            // signing key away.
+            rng: Mutex::new(DetRng::new(config.seed ^ born)),
+            born,
+            outbound: Mutex::new(Outbound::default()),
             custody: Mutex::new(custody),
             started: Instant::now(),
             next_report_seq: AtomicU64::new(1),
@@ -1467,7 +1567,7 @@ impl AgentServer {
 
 /// What only the server loop touches.
 struct LoopState {
-    /// Nonces of every datagram this server opened.
+    /// The datagram sessions peers opened to this incarnation.
     guard: ReplayGuard,
     /// Status queries awaiting a peer's reply, by query id.
     pending_queries: BTreeMap<u64, Sender<Result<AgentStatus, QueryError>>>,
@@ -1502,7 +1602,7 @@ fn server_loop(
     replay: Vec<AgentBundle>,
 ) {
     let mut state = LoopState {
-        guard: ReplayGuard::new(REPLAY_WINDOW_NS),
+        guard: ReplayGuard::since(shared.born),
         pending_queries: BTreeMap::new(),
         next_query_id: 1,
         batch: Vec::new(),
@@ -1529,7 +1629,7 @@ fn server_loop(
         // flushed, so an ack already received clears its frame before
         // that frame's grace is checked. The loop then blocks no longer
         // than the next frame needs.
-        let wait = shared.service_due();
+        let wait = shared.service_due(&state.guard);
         crossbeam::channel::select! {
             recv(ctrl) -> cmd => match cmd {
                 Ok(Control::Launch { dest, credentials, image, fallbacks }) => {
@@ -1594,19 +1694,24 @@ fn handle_delivery(shared: &Arc<Shared>, delivery: Delivery, state: &mut LoopSta
             return;
         }
     };
-    let opened = datagram.open(
+    let opened = state.guard.open(
+        &datagram,
         &shared.identity,
         &shared.identity.keys,
         &shared.roots,
         now,
-        &mut state.guard,
     );
     let (sender, plaintext) = match opened {
-        Ok(x) => x,
+        Ok(opened) => {
+            if opened.new_session {
+                shared.peer_started(&opened.from, datagram.born);
+            }
+            (opened.from, opened.payload)
+        }
         Err(e) => {
-            // Replay-class failures (stale timestamp, reused nonce) get
-            // their own typed category; everything else is tampering or
-            // decode trouble.
+            // Replay-class failures (a reused frame number or a closed
+            // session) get their own typed category; everything else is
+            // tampering or decode trouble.
             let kind = if e.is_replay() {
                 RejectKind::Replay
             } else {

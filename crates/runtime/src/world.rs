@@ -220,8 +220,8 @@ impl WorldBuilder {
         let transports: Vec<Arc<dyn Transport>> = match self.transport {
             TransportMode::Sim => {
                 let net: Arc<dyn Transport> = Arc::new(SimNet::new(self.link, net_seed));
-                for config in configs {
-                    servers.push(AgentServer::spawn(Arc::clone(&net), config));
+                for config in &configs {
+                    servers.push(AgentServer::spawn(Arc::clone(&net), config.clone()));
                 }
                 vec![net]
             }
@@ -257,9 +257,9 @@ impl WorldBuilder {
                         }
                     }
                 }
-                for (config, t) in configs.into_iter().zip(&transports) {
+                for (config, t) in configs.iter().zip(&transports) {
                     let net: Arc<dyn Transport> = Arc::clone(t) as Arc<dyn Transport>;
-                    servers.push(AgentServer::spawn(net, config));
+                    servers.push(AgentServer::spawn(net, config.clone()));
                 }
                 transports
                     .into_iter()
@@ -274,6 +274,7 @@ impl WorldBuilder {
             roots,
             authority,
             servers,
+            configs,
             transports,
             sched,
         }
@@ -400,6 +401,8 @@ pub struct World {
     authority: Authority,
     /// The running servers, in creation order.
     pub servers: Vec<ServerHandle>,
+    /// What each server was started with, for [`World::restart_server`].
+    configs: Vec<ServerConfig>,
     /// Every transport backing the world, in server order (one element
     /// in sim mode).
     transports: Vec<Arc<dyn Transport>>,
@@ -421,6 +424,21 @@ impl World {
     /// Server `i`'s handle.
     pub fn server(&self, i: usize) -> &ServerHandle {
         &self.servers[i]
+    }
+
+    /// Restarts server `i` as a new incarnation, as a killed and
+    /// restarted process would be: its loop stops and its in-memory
+    /// state (journal, replay guard, sessions, custody memory) goes; a
+    /// fresh server with the same name, keys and configuration starts on
+    /// the same transport and replays its WAL, when the world has one
+    /// ([`WorldBuilder::wal_dir`]). Agents the old incarnation was still
+    /// running are not stopped, so restart a server its agents have left.
+    pub fn restart_server(&mut self, i: usize) {
+        self.servers.remove(i).shutdown();
+        // A simulated world's servers share transport 0.
+        let net = Arc::clone(&self.transports[i.min(self.transports.len() - 1)]);
+        let server = AgentServer::spawn(net, self.configs[i].clone());
+        self.servers.insert(i, server);
     }
 
     /// Control-plane views of every server in this world — what a

@@ -139,6 +139,37 @@ const TOUR: &str = r#"
       ret
 "#;
 
+/// After a server's first frame to a peer, sending needs no directory
+/// lookup: with the peer's directory entry replaced by one that no
+/// longer verifies, a second agent still travels there and back on the
+/// sessions the first one opened.
+#[test]
+fn steady_state_sends_need_no_directory_lookup() {
+    let mut world = World::new(2);
+    let mut owner = world.owner("olga");
+    let home = world.server(0).name().clone();
+    let dest = world.server(1).name().clone();
+    for round in 1..=2 {
+        if round == 2 {
+            let wrong = world.directory.certificate(&home).unwrap();
+            world.directory.publish(dest.clone(), wrong);
+            assert_eq!(world.directory.verified_key(&dest, &world.roots, 0), None);
+        }
+        let agent = owner.next_agent_name("hello");
+        let creds = owner.credentials(agent, home.clone(), Rights::all(), u64::MAX);
+        world
+            .server(0)
+            .launch(dest.clone(), creds, image(HELLO, vec![], "run"));
+        let reports = world.server(0).wait_reports(round, WAIT);
+        assert_eq!(reports.len(), round);
+        assert!(matches!(
+            reports[round - 1].status,
+            ReportStatus::Completed(_)
+        ));
+    }
+    world.shutdown();
+}
+
 #[test]
 fn itinerary_tour_visits_every_server() {
     let mut world = World::new(4);

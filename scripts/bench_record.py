@@ -49,6 +49,15 @@ A clean separation settles a wide spread either way, so a regression that
 every pair shows is reported as worse, never as unresolved. The exit
 status is 1 if any metric is worse beyond its bound, else 0. Entries
 without end-to-end metrics (traced runs) are skipped.
+
+    python3 scripts/bench_record.py --compare BENCH_21.json BENCH_23.json
+
+compares the change runs of two BENCH files, for every workload both hold
+and every end-to-end metric, by the same words and rule: the older file's
+change runs stand where --verdict puts the parent's, the newer file's
+where it puts the change's. It exits 1 if any metric is worse beyond its
+bound. A file compared with itself moves nowhere, so every metric whose
+spread is within its bound reads within.
 """
 
 import argparse
@@ -154,6 +163,40 @@ def record_workload(workload, exes, args, seconds, metric_spec, context):
     return entry
 
 
+def judge(workload, m, base, new, base_label):
+    """Prints one metric's verdict, `new` runs against `base` runs, and
+    returns the word."""
+    name, bound = m["name"], m["bound"]
+    sign = 1 if m["better"] == "higher" else -1
+    q = quartiles(base)
+    med_n = statistics.median(new)
+    moved = sign * (med_n - q["median"]) / q["median"]
+    spread = (q["q3"] - q["q1"]) / q["median"]
+    best_b, worst_b = max(sign * v for v in base), min(sign * v for v in base)
+    best_n, worst_n = max(sign * v for v in new), min(sign * v for v in new)
+    separated = worst_n > best_b or worst_b > best_n
+    if spread > bound and not separated:
+        word = "unresolved"
+    elif moved < -bound:
+        word = "worse"
+    elif moved > bound:
+        word = "better"
+    else:
+        word = "within"
+    line = (f"{workload:8} {name:17} {word:10} median {q['median']:.4g} -> {med_n:.4g} "
+            f"({sign * moved:+.1%}), {base_label} spread {spread:.0%}, bound {bound:.0%}")
+    if base_label == "parent":
+        # Runs pair up only inside one interleaved recording.
+        won = sum(1 for b, n in zip(base, new) if sign * (n - b) > 0)
+        line += f", change won {won}/{len(base)} pairs"
+    print(line)
+    return word
+
+
+def metric_runs(entry, side, name):
+    return [r["metrics"][name] for r in entry[side]["runs"]]
+
+
 def verdict(path, end_to_end):
     """Prints the file's verdict per workload and end-to-end metric and
     returns the exit status: 1 if any metric is worse beyond its bound."""
@@ -162,33 +205,34 @@ def verdict(path, end_to_end):
     worse = 0
     for workload, entry in sorted(doc["workloads"].items()):
         for m in end_to_end:
-            name, bound = m["name"], m["bound"]
-            if name not in entry["parent"]["runs"][0]["metrics"]:
+            if m["name"] not in entry["parent"]["runs"][0]["metrics"]:
                 continue
-            pa = [r["metrics"][name] for r in entry["parent"]["runs"]]
-            ch = [r["metrics"][name] for r in entry["change"]["runs"]]
-            sign = 1 if m["better"] == "higher" else -1
-            q = quartiles(pa)
-            med_c = statistics.median(ch)
-            moved = sign * (med_c - q["median"]) / q["median"]
-            spread = (q["q3"] - q["q1"]) / q["median"]
-            best_p, worst_p = max(sign * v for v in pa), min(sign * v for v in pa)
-            best_c, worst_c = max(sign * v for v in ch), min(sign * v for v in ch)
-            separated = worst_c > best_p or worst_p > best_c
-            if spread > bound and not separated:
-                word = "unresolved"
-            elif moved < -bound:
-                word = "worse"
-            elif moved > bound:
-                word = "better"
-            else:
-                word = "within"
+            word = judge(workload, m, metric_runs(entry, "parent", m["name"]),
+                         metric_runs(entry, "change", m["name"]), "parent")
             worse += word == "worse"
-            won = sum(1 for p, c in zip(pa, ch) if sign * (c - p) > 0)
-            print(f"{workload:8} {name:17} {word:10} median {q['median']:.4g} -> {med_c:.4g} "
-                  f"({sign * moved:+.1%}), parent spread {spread:.0%}, bound {bound:.0%}, "
-                  f"change won {won}/{len(pa)} pairs")
     print(f"{path}: {'REGRESSION' if worse else 'no regression'} "
+          f"({worse} metric(s) worse beyond their bound)")
+    return 1 if worse else 0
+
+
+def compare(old_path, new_path, end_to_end):
+    """Prints, per workload both files hold and end-to-end metric, the
+    verdict of the new file's change runs against the old file's, and
+    returns the exit status: 1 if any metric is worse beyond its bound."""
+    docs = []
+    for path in (old_path, new_path):
+        with open(path) as f:
+            docs.append(json.load(f)["workloads"])
+    old, new = docs
+    worse = 0
+    for workload in sorted(set(old) & set(new)):
+        for m in end_to_end:
+            if m["name"] not in old[workload]["change"]["runs"][0]["metrics"]:
+                continue
+            word = judge(workload, m, metric_runs(old[workload], "change", m["name"]),
+                         metric_runs(new[workload], "change", m["name"]), "old")
+            worse += word == "worse"
+    print(f"{old_path} -> {new_path}: {'REGRESSION' if worse else 'no regression'} "
           f"({worse} metric(s) worse beyond their bound)")
     return 1 if worse else 0
 
@@ -197,6 +241,8 @@ def main():
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--verdict", metavar="BENCH_FILE",
                    help="print the verdict of a BENCH file instead of recording")
+    p.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                   help="compare the change runs of two BENCH files instead of recording")
     p.add_argument("--out")
     p.add_argument("--parent", help="the parent commit's perfbench executable")
     p.add_argument("--parent-commit")
@@ -209,6 +255,8 @@ def main():
     bench = spec()
     if args.verdict:
         sys.exit(verdict(args.verdict, bench["end_to_end"]))
+    if args.compare:
+        sys.exit(compare(*args.compare, bench["end_to_end"]))
     if not (args.out and args.parent and args.parent_commit and args.workload):
         p.error("recording needs --out, --parent, --parent-commit and --workload")
     metric_spec = {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
