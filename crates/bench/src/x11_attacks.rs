@@ -33,12 +33,18 @@ pub struct AttackRow {
     pub launched: u64,
     /// Agents that completed normally.
     pub completed: u64,
-    /// Rejections journaled across both servers (the `Rejections`
-    /// counter — exact even past the journal's retention bound).
+    /// Rejections journaled across both servers, except the
+    /// `DuplicateHop` that custody journals for the second copy of a
+    /// needlessly retried frame: no attack trial causes one, since a
+    /// forged, tampered or replayed frame is refused when it is opened.
+    /// (The restart row counts every rejection on the restarted server.)
     pub detections: u64,
     /// Rejections classified as replay-class ([`RejectKind::Replay`])
     /// by the typed journal.
     pub replays: u64,
+    /// Frames the adversary injected (forgeries, replays), as the
+    /// transports counted them.
+    pub injected: u64,
     /// Attack-specific note.
     pub note: String,
 }
@@ -90,14 +96,31 @@ fn trial(
         .iter()
         .filter(|r| matches!(r.status, ReportStatus::Completed(_)))
         .count() as u64;
-    // Typed telemetry instead of string-matched event kinds: the
-    // aggregate comes from O(1) counters, the replay classification from
-    // matching journal records on their `RejectKind` variant.
-    let (mut detections, mut replays) = (0u64, 0u64);
-    for i in [0, 1] {
-        detections += world.server(i).journal().counter(Counter::Rejections);
-        replays += rejected(world.server(i), RejectKind::Replay);
-    }
+    // Typed telemetry instead of string-matched event kinds: both counts
+    // match journal records on their `RejectKind` variant.
+    let servers = &world.servers;
+    let detections = || -> u64 {
+        let attack = |k: &RejectKind| *k != RejectKind::DuplicateHop;
+        servers.iter().map(|s| rejected_where(s, attack)).sum()
+    };
+    let injected = || -> u64 {
+        world
+            .transports()
+            .iter()
+            .map(|t| t.stats().messages_injected)
+            .sum()
+    };
+    // The last acks, and the forgeries or replays riding behind them,
+    // are still in flight when the last report arrives: wait until no
+    // server awaits an ack and the rejections reach the injected count.
+    wait_until(Duration::from_secs(5), || {
+        servers.iter().all(|s| s.pending_send_count() == 0) && detections() >= injected()
+    });
+    let (detections, injected) = (detections(), injected());
+    let replays = servers
+        .iter()
+        .map(|s| rejected(s, RejectKind::Replay))
+        .sum();
     let note = note_fn(&world, completed);
     world.shutdown();
     AttackRow {
@@ -106,17 +129,23 @@ fn trial(
         completed,
         detections,
         replays,
+        injected,
         note,
     }
 }
 
 /// Rejections of `kind` in `server`'s journal.
 fn rejected(server: &ServerHandle, kind: RejectKind) -> u64 {
+    rejected_where(server, |k| *k == kind)
+}
+
+/// Rejections in `server`'s journal whose kind passes `pick`.
+fn rejected_where(server: &ServerHandle, pick: impl Fn(&RejectKind) -> bool) -> u64 {
     server
         .journal()
         .snapshot()
         .iter()
-        .filter(|r| matches!(&r.event, Event::Rejected { kind: k, .. } if *k == kind))
+        .filter(|r| matches!(&r.event, Event::Rejected { kind, .. } if pick(kind)))
         .count() as u64
 }
 
@@ -305,6 +334,7 @@ pub fn restart_replay(n: u64, seed: u64) -> AttackRow {
         completed,
         detections,
         replays,
+        injected: captured.len() as u64,
         note: format!(
             "{} captured frames replayed into the restarted server: {replays} refused at \
              open as replays, {duplicates} left to custody dedup, {admitted} admitted, \

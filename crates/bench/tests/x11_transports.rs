@@ -64,3 +64,24 @@ fn replay_across_a_restart_is_refused_at_open() {
     );
     assert!(row.note.ends_with("afterwards completes"), "{}", row.note);
 }
+
+/// Every injected forgery and replay is counted, on the simulation and
+/// over sockets: a trial waits until no server awaits an ack and the
+/// rejections reach the adversary's count, so the frames still in
+/// flight behind the last report are not missed.
+#[test]
+fn every_injected_forgery_and_replay_is_detected() {
+    for mode in [TransportMode::Sim, TransportMode::Uds] {
+        let rows = run_over(mode, 3);
+        for attack in ["forge", "replay"] {
+            let row = rows.iter().find(|r| r.attack.starts_with(attack)).unwrap();
+            assert!(row.injected >= 12, "{mode:?}: {row:?}");
+            assert_eq!(row.detections, row.injected, "{mode:?}: {row:?}");
+        }
+        let replay = rows
+            .iter()
+            .find(|r| r.attack.starts_with("replay"))
+            .unwrap();
+        assert_eq!(replay.replays, replay.injected, "{mode:?}: {replay:?}");
+    }
+}

@@ -287,7 +287,7 @@ impl DomainDatabase {
     }
 
     /// `f` of every record, ordered by domain, so a caller copies only
-    /// what it needs. Records are read [`LIST_PAGE`] at a time, each page
+    /// what it needs. Records are read 512 at a time, each page
     /// under its own hold of the lock, so listing 100k agents stalls an
     /// admission or eviction for one page, never for the whole table.
     /// Each page is a snapshot; an agent admitted or evicted while the

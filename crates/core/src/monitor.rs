@@ -14,7 +14,7 @@
 //! mutation, domain-database writes, agent launch/dispatch, and monitor
 //! replacement itself. Every decision is appended to the shared
 //! [`telemetry::Journal`](crate::telemetry::Journal) as an
-//! [`Event::Audit`](crate::telemetry::Event::Audit), and the journal's
+//! [`Event::Audit`], and the journal's
 //! `AuditAllowed`/`AuditDenied` counters count them exactly, so the
 //! monitor holds no (unbounded) private state of its own.
 

@@ -23,7 +23,7 @@
 //! * **identity-based capability confinement** — the proxy records the
 //!   protection domain it was granted to and refuses invocations from any
 //!   other domain, so passing the reference to another agent is useless
-//!   (Gong's identity-based capabilities, the paper's citation [6]).
+//!   (Gong's identity-based capabilities, the paper's citation \[6\]).
 //!
 //! # The interned-method fast path
 //!

@@ -7,7 +7,7 @@
 //! names to keys. This crate supplies exactly those functions, built from
 //! scratch:
 //!
-//! * [`sha256`] — a complete FIPS 180-4 SHA-256 (real, test-vectored),
+//! * [`mod@sha256`] — a complete FIPS 180-4 SHA-256 (real, test-vectored),
 //!   compressing on the CPU's SHA extensions where it has them.
 //! * [`hmac`] — HMAC-SHA256 per RFC 2104 (real, RFC 4231 vectors).
 //! * [`sig`] — Schnorr signatures over a 62-bit safe-prime group.

@@ -108,7 +108,7 @@ const COMPACT_THRESHOLD: usize = 64 * 1024;
 /// Grow-only: consumption advances a cursor instead of draining the
 /// `Vec` (which would memmove the tail once per frame); the backing
 /// allocation is reused for the life of the connection and compacted
-/// only when the dead prefix passes [`COMPACT_THRESHOLD`].
+/// only when the dead prefix passes 64 KiB.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,

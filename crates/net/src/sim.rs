@@ -4,14 +4,14 @@
 //! Delivery is via crossbeam channels so agent servers can run as real
 //! threads; *timing* is virtual (see [`crate::time`]): each delivery
 //! carries the virtual arrival instant computed from the link model, and
-//! receivers advance the shared clock to that instant when they consume
-//! the message. Single-threaded drivers (the experiment harness) therefore
+//! every receive on an [`Endpoint`] advances the shared clock to that
+//! instant. Single-threaded drivers (the experiment harness) therefore
 //! get fully deterministic byte counts and virtual completion times.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use ajanta_crypto::DetRng;
@@ -137,7 +137,9 @@ impl SimNet {
         })
     }
 
-    /// Removes an endpoint (its queued messages are discarded).
+    /// Removes an endpoint: sends to the name fail from now on, and the
+    /// endpoint's receives return what was already delivered, then
+    /// [`NetError::Disconnected`].
     pub fn detach(&self, name: &Urn) {
         self.inner.endpoints.lock().remove(name);
     }
@@ -259,15 +261,6 @@ impl Endpoint {
         self.net.transmit(&self.name, to, payload)
     }
 
-    /// The raw delivery channel, for `select!`-style event loops that
-    /// multiplex network input with control channels. Receiving through
-    /// this does **not** advance the virtual clock; call
-    /// [`VClock::advance_to`] with the delivery's arrival time (as
-    /// [`Endpoint::recv`] does) when consuming from it directly.
-    pub fn receiver(&self) -> &Receiver<Delivery> {
-        &self.rx
-    }
-
     /// Blocking receive; advances the virtual clock to the arrival time.
     pub fn recv(&self) -> Result<Delivery, NetError> {
         let d = self.rx.recv().map_err(|_| NetError::Disconnected)?;
@@ -287,15 +280,17 @@ impl Endpoint {
         }
     }
 
-    /// Blocking receive with a real-time timeout (for threaded tests that
-    /// must not hang on a lost message).
+    /// Blocking receive with a real-time timeout: [`NetError::Empty`]
+    /// when nothing arrived in time, [`NetError::Disconnected`] once the
+    /// endpoint is detached and its queue drained.
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Delivery, NetError> {
         match self.rx.recv_timeout(timeout) {
             Ok(d) => {
                 self.net.clock().advance_to(d.arrival_ns);
                 Ok(d)
             }
-            Err(_) => Err(NetError::Empty),
+            Err(RecvTimeoutError::Timeout) => Err(NetError::Empty),
+            Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
         }
     }
 }
@@ -500,6 +495,34 @@ mod tests {
             let _ = a_name;
         });
         assert_eq!(net.stats().messages_delivered, 200);
+    }
+
+    /// `Empty` means "nothing yet", `Disconnected` "never again": a
+    /// detached endpoint still reads what was delivered before the
+    /// detach, then reports the detach at once, even to a receiver
+    /// already blocked with a timeout past the clock's range.
+    #[test]
+    fn recv_timeout_tells_a_detached_endpoint_from_a_quiet_one() {
+        let net = net();
+        let a = net.attach(server("a")).unwrap();
+        let b = net.attach(server("b")).unwrap();
+        a.send(b.name(), b"before".to_vec()).unwrap();
+        net.detach(b.name());
+        assert_eq!(
+            a.send(b.name(), vec![]),
+            Err(NetError::UnknownEndpoint(server("b")))
+        );
+        let forever = std::time::Duration::MAX;
+        assert_eq!(b.recv_timeout(forever).unwrap().payload, b"before");
+        assert_eq!(b.recv_timeout(forever), Err(NetError::Disconnected));
+
+        let c = net.attach(server("c")).unwrap();
+        std::thread::scope(|s| {
+            let blocked = s.spawn(|| c.recv_timeout(forever));
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            net.detach(&server("c"));
+            assert_eq!(blocked.join().unwrap(), Err(NetError::Disconnected));
+        });
     }
 
     #[test]

@@ -61,7 +61,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};
 
 use ajanta_crypto::{DetRng, RootOfTrust};
@@ -365,7 +365,9 @@ pub struct SocketConfig {
     pub identity: ChannelIdentity,
     /// Trust roots peer certificates must chain to.
     pub roots: RootOfTrust,
-    /// Seed for handshake nonces and ephemerals.
+    /// Seed for handshake nonces and ephemerals. The transport mixes in
+    /// its clock at bind, so a restarted process bound with the same
+    /// seed draws fresh ones.
     pub seed: u64,
 }
 
@@ -888,12 +890,18 @@ impl SocketTransport {
             NetAddr::Tcp(_) => TransportKind::Tcp,
             NetAddr::Uds(_) => TransportKind::Uds,
         };
+        let clock = VClock::wall();
+        // A restarted incarnation bound with the same seed must not
+        // replay its predecessor's handshake ephemerals and signature
+        // nonces: one nonce under two transcripts gives the signing key
+        // away.
+        let rng = DetRng::new(config.seed ^ clock.now());
         let inner = Arc::new(SockInner {
             kind,
-            clock: VClock::wall(),
+            clock,
             identity: config.identity,
             roots: config.roots,
-            rng: Mutex::new(DetRng::new(config.seed)),
+            rng: Mutex::new(rng),
             local,
             endpoints: Mutex::new(BTreeMap::new()),
             routes: Mutex::new(BTreeMap::new()),
@@ -1037,10 +1045,6 @@ impl NetEndpoint for SocketEndpoint {
         self.inner.send_as(&self.name, to, payload)
     }
 
-    fn receiver(&self) -> &Receiver<Delivery> {
-        &self.rx
-    }
-
     // Arrivals are stamped from this transport's own wall clock, which
     // has already passed them: receiving needs no clock advance.
     fn recv(&self) -> Result<Delivery, NetError> {
@@ -1055,7 +1059,10 @@ impl NetEndpoint for SocketEndpoint {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Delivery, NetError> {
-        self.rx.recv_timeout(timeout).map_err(|_| NetError::Empty)
+        self.rx.recv_timeout(timeout).map_err(|e| match e {
+            RecvTimeoutError::Timeout => NetError::Empty,
+            RecvTimeoutError::Disconnected => NetError::Disconnected,
+        })
     }
 }
 

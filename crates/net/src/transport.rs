@@ -19,16 +19,17 @@
 //! - **Unauthenticated origins.** The `from` name on a delivery is a
 //!   claim; authentication happens above, in the sealed-datagram layer.
 //! - **Virtual-time arrivals.** Every [`Delivery`] carries `arrival_ns`
-//!   on the transport's [`VClock`]; receivers advance the clock to it
-//!   when they consume the message. The simulation computes arrivals
-//!   from a link model; socket transports stamp real wall-clock
-//!   nanoseconds on a clock shared (via the UNIX epoch) across
-//!   processes on the same machine.
+//!   on the transport's [`VClock`]; every receive advances the clock to
+//!   it. The simulation computes arrivals from a link model; socket
+//!   transports stamp real wall-clock nanoseconds on a clock shared (via
+//!   the UNIX epoch) across processes on the same machine.
+//! - **Detach ends an inbox.** Once a name is detached, nothing more is
+//!   delivered to its endpoint, whose receives return what was already
+//!   delivered, then [`NetError::Disconnected`]. A server's shutdown is
+//!   exactly this.
 
 use std::sync::Arc;
 use std::time::Duration;
-
-use crossbeam::channel::Receiver;
 
 use ajanta_naming::Urn;
 
@@ -81,12 +82,14 @@ pub type WriteBatchHook = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// One attached endpoint: the receive side of a name on some transport.
 ///
-/// The trait mirrors [`Endpoint`]'s inherent API so the server loop can
-/// `select!` over [`NetEndpoint::receiver`] exactly as it always did.
-/// `recv`/`try_recv`/`recv_timeout` leave the transport clock at or past
-/// the delivery's arrival instant; draining `receiver()` directly does
-/// not advance a virtual clock (the caller must `advance_to` itself). A
-/// wall clock has already passed every arrival it stamped.
+/// The trait mirrors [`Endpoint`]'s inherent API; a server loop blocks
+/// in [`NetEndpoint::recv_timeout`] and drains with
+/// [`NetEndpoint::try_recv`]. Every receive leaves the transport clock
+/// at or past the delivery's arrival instant (a wall clock has already
+/// passed every arrival it stamped). Once the endpoint is detached
+/// ([`Transport::detach`]), receives return what was already delivered
+/// and then [`NetError::Disconnected`]; [`NetError::Empty`] only ever
+/// means "nothing yet".
 pub trait NetEndpoint: Send {
     /// The endpoint's global name.
     fn name(&self) -> &Urn;
@@ -94,16 +97,14 @@ pub trait NetEndpoint: Send {
     /// Sends `payload` to `to` with this endpoint's name as origin.
     fn send(&self, to: &Urn, payload: Vec<u8>) -> Result<(), NetError>;
 
-    /// The raw delivery channel, for `select!`-style event loops.
-    fn receiver(&self) -> &Receiver<Delivery>;
-
     /// Blocking receive; advances the clock to the arrival time.
     fn recv(&self) -> Result<Delivery, NetError>;
 
     /// Non-blocking receive; advances the clock on success.
     fn try_recv(&self) -> Result<Delivery, NetError>;
 
-    /// Blocking receive with a real-time timeout.
+    /// Blocking receive with a real-time timeout (one too large for the
+    /// clock never passes); advances the clock on success.
     fn recv_timeout(&self, timeout: Duration) -> Result<Delivery, NetError>;
 }
 
@@ -122,7 +123,9 @@ pub trait Transport: Send + Sync {
     /// Attaches a new endpoint named `name`.
     fn attach(&self, name: Urn) -> Result<Box<dyn NetEndpoint>, NetError>;
 
-    /// Removes an endpoint (its queued messages are discarded).
+    /// Removes an endpoint: nothing more is delivered to it, and its
+    /// receives return what was already delivered, then
+    /// [`NetError::Disconnected`].
     fn detach(&self, name: &Urn);
 
     /// Sends on behalf of `from` without holding its endpoint — the
@@ -212,10 +215,6 @@ impl NetEndpoint for Endpoint {
 
     fn send(&self, to: &Urn, payload: Vec<u8>) -> Result<(), NetError> {
         Endpoint::send(self, to, payload)
-    }
-
-    fn receiver(&self) -> &Receiver<Delivery> {
-        Endpoint::receiver(self)
     }
 
     fn recv(&self) -> Result<Delivery, NetError> {

@@ -3,7 +3,7 @@
 //! restart, hostile-bytes rejection, handshake enforcement, and a clock
 //! that keeps wall time on an idle network.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -11,9 +11,13 @@ use std::time::Duration;
 use ajanta_crypto::cert::Certificate;
 use ajanta_crypto::{DetRng, KeyPair, RootOfTrust};
 use ajanta_naming::Urn;
-use ajanta_net::secure::ChannelIdentity;
+use ajanta_net::frame::encode_frame;
+use ajanta_net::secure::{ChannelIdentity, HelloAck};
 use ajanta_net::time::MILLIS;
-use ajanta_net::{NetAddr, NetError, SocketConfig, SocketTransport, Transport};
+use ajanta_net::{
+    FrameBuffer, NetAddr, NetError, SecureChannel, SocketConfig, SocketTransport, Stream, Transport,
+};
+use ajanta_wire::Wire;
 
 struct TestWorld {
     roots: RootOfTrust,
@@ -267,4 +271,73 @@ fn idle_transport_clock_keeps_wall_time() {
         advanced as f64 / MILLIS as f64
     );
     t.shutdown();
+}
+
+/// `Empty` means "nothing yet", `Disconnected` "never again": a
+/// detached socket endpoint still reads what was delivered before the
+/// detach, then reports the detach at once, even to a receiver already
+/// blocked with a timeout past the clock's range.
+#[test]
+fn recv_timeout_tells_a_detached_endpoint_from_a_quiet_one() {
+    let mut w = TestWorld::new(71);
+    let (a_name, b_name, c_name) = (server("det-a"), server("det-b"), server("det-c"));
+    let t = w.bind(&a_name, &uds_path("detach"));
+    let ea = t.attach(a_name.clone()).unwrap();
+    let eb = t.attach(b_name.clone()).unwrap();
+    ea.send(&b_name, b"before".to_vec()).unwrap();
+    t.detach(&b_name);
+    let forever = Duration::MAX;
+    assert_eq!(eb.recv_timeout(forever).unwrap().payload, b"before");
+    assert_eq!(eb.recv_timeout(forever), Err(NetError::Disconnected));
+
+    let ec = t.attach(c_name.clone()).unwrap();
+    std::thread::scope(|s| {
+        let blocked = s.spawn(move || ec.recv_timeout(forever));
+        std::thread::sleep(Duration::from_millis(20));
+        t.detach(&c_name);
+        assert_eq!(blocked.join().unwrap(), Err(NetError::Disconnected));
+    });
+    t.shutdown();
+}
+
+/// A transport bound again with its predecessor's seed, as a killed and
+/// restarted process is, answers a handshake with fresh randomness: the
+/// same Schnorr nonce under two transcripts would give the signing key
+/// away.
+#[test]
+fn rebinding_with_one_seed_answers_with_fresh_handshake_randomness() {
+    let mut w = TestWorld::new(81);
+    let (a_name, b_name) = (server("reseed-a"), server("reseed-b"));
+    let initiator = w.identity(&a_name);
+    let responder = w.identity(&b_name);
+    let addr = uds_path("reseed");
+    let (hello, _) = SecureChannel::initiate(&initiator, &b_name, &mut DetRng::new(3));
+    let mut answers = Vec::new();
+    for _ in 0..2 {
+        let config = SocketConfig {
+            identity: responder.clone(),
+            roots: w.roots.clone(),
+            seed: 7,
+        };
+        let t = SocketTransport::bind(&addr, config).expect("bind");
+        let mut stream = Stream::connect(&t.local_addr()).expect("dial");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(&encode_frame(&hello)).unwrap();
+        let mut fb = FrameBuffer::new();
+        let mut buf = [0u8; 4096];
+        let ack = loop {
+            if let Some(frame) = fb.next_frame().unwrap() {
+                break frame;
+            }
+            let n = stream.read(&mut buf).expect("reading the HelloAck");
+            assert!(n > 0, "the responder closed without answering");
+            fb.extend(&buf[..n]);
+        };
+        answers.push(HelloAck::from_bytes(&ack).expect("a HelloAck"));
+        t.shutdown();
+    }
+    assert_ne!(answers[0].dh, answers[1].dh, "DH share repeated");
+    assert_ne!(answers[0].sig, answers[1].sig, "signature repeated");
 }

@@ -11,7 +11,7 @@
 //!   resident (domain database), hibernated (bundle store), and
 //!   in-flight (unresolved WAL custody on unacked frames);
 //! * **telemetry** — the typed
-//!   [`TelemetrySnapshot`](ajanta_core::telemetry::TelemetrySnapshot)
+//!   [`TelemetrySnapshot`]
 //!   (counters + histograms), shipped as values, not pre-rendered text,
 //!   so clients can aggregate a fleet and render locally;
 //! * **journal** — tail and follow with a cursor on the journal's dense

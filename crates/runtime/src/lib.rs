@@ -13,7 +13,7 @@
 //! * [`vmres`] — resources implemented *by agent bytecode*: what makes
 //!   the paper's dynamic server extension (Section 5.5) real — an agent
 //!   installs a resource, dies, and later agents call it.
-//! * [`env`] — the agent environment: `go`, `get_resource`, proxy
+//! * [`mod@env`] — the agent environment: `go`, `get_resource`, proxy
 //!   invocation, messaging, logging — every primitive mediated.
 //! * [`bundle`] — durable agent state: the serialized bundle and the
 //!   store hibernated agents spill to.

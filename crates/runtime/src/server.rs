@@ -12,12 +12,12 @@
 //! byte-code verification in a fresh name-space → policy authorization →
 //! domain creation → execution under quotas.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::Sender;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use ajanta_core::telemetry::Record;
@@ -30,7 +30,9 @@ use ajanta_core::{
 use ajanta_crypto::{DetRng, RootOfTrust};
 use ajanta_naming::Urn;
 use ajanta_net::secure::ChannelIdentity;
-use ajanta_net::{Delivery, NetEndpoint, ReplayGuard, SealedDatagram, Session, Transport};
+use ajanta_net::{
+    Delivery, NetEndpoint, NetError, ReplayGuard, SealedDatagram, Session, Transport,
+};
 use ajanta_vm::{
     AgentImage, ExecOutcome, Interpreter, Limits, Module, Namespace, SliceOutcome, Value,
     VerifiedModule,
@@ -51,8 +53,8 @@ use crate::wal::{AdmissionWal, WalRecord};
 /// is now distinguishable from a server that replied "not resident".
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
-    /// The query could not even be sent (no directory entry, detached
-    /// endpoint, or the local server is shut down).
+    /// The query could not even be sent (no directory entry for the
+    /// server, or the transport refused the send).
     Unreachable(String),
     /// No reply arrived within the timeout — the server may be down.
     Timeout,
@@ -165,6 +167,11 @@ pub struct Shared {
     /// Signalled on every report arrival; `wait_reports` and
     /// `wait_agents` block here instead of busy-polling.
     reports_cv: Condvar,
+    /// Status queries awaiting a peer's reply, by query id: each
+    /// [`ServerHandle::query_status`] registers its slot before it sends
+    /// and removes it when it stops waiting.
+    queries: Mutex<HashMap<u64, Sender<AgentStatus>>>,
+    next_query_id: AtomicU64,
     rng: Mutex<DetRng>,
     /// When this incarnation started, on the transport clock: every
     /// session it opens carries it, and its replay guard refuses
@@ -503,8 +510,14 @@ impl Shared {
     /// Seals and sends one protocol message to a peer server, on this
     /// server's session to it.
     pub fn send_message(&self, to: &Urn, msg: &Message) -> Result<(), String> {
+        self.send_plaintext(to, &msg.to_bytes())
+    }
+
+    /// Seals an encoded message on this server's session to `to` and
+    /// sends it.
+    fn send_plaintext(&self, to: &Urn, plaintext: &[u8]) -> Result<(), String> {
         let now = self.clock_now();
-        let datagram = self.session_to(to, now)?.seal(&msg.to_bytes(), now);
+        let datagram = self.session_to(to, now)?.seal(plaintext, now);
         self.net
             .send_as(&self.name, to, datagram.to_bytes())
             .map_err(|e| e.to_string())
@@ -732,10 +745,7 @@ impl Shared {
             Message::Report { ctx, .. } => (*ctx, self.clock_now()),
             _ => (SpanContext::root(TraceId(0), SpanId(0)), self.clock_now()),
         };
-        // A failed first send (unknown peer, detached endpoint) is just
-        // a lost attempt: the loop retries it and the dead-stop path
-        // eventually resolves the agent's fate.
-        let _ = self.send_message(dest, &msg);
+        let plaintext = msg.to_bytes();
         let entry = PendingSend {
             dest: dest.clone(),
             msg,
@@ -747,7 +757,13 @@ impl Shared {
             last_sent_ns: first_sent_ns,
             custody: None,
         };
+        // Tracked before it leaves, so the ack finds the frame pending
+        // however soon the loop receives it, whichever thread sends. A
+        // failed first send (unknown peer, detached endpoint) is just a
+        // lost attempt: the loop retries it and the dead-stop path
+        // eventually resolves the agent's fate.
         self.hand_off(custody, Some((key, entry)));
+        let _ = self.send_plaintext(dest, &plaintext);
     }
 
     /// Hands `custody` on with an outcome (see [`Custody::hand_off`]) and
@@ -1080,33 +1096,16 @@ impl Shared {
     }
 }
 
-/// Control-channel commands. (`Launch` carries a whole agent; boxing
-/// would only obscure the one-shot hand-off.)
-#[allow(clippy::large_enum_variant)]
-enum Control {
-    Launch {
-        dest: Urn,
-        credentials: Credentials,
-        image: AgentImage,
-        /// Itinerary stops after `dest`, for dead-stop recovery.
-        fallbacks: Vec<Urn>,
-    },
-    QueryStatus {
-        server: Urn,
-        agent: Urn,
-        reply: crossbeam::channel::Sender<Result<AgentStatus, QueryError>>,
-    },
-    Shutdown,
-}
-
 /// The running server's control handle: the server's [`ControlView`]
 /// (which it dereferences to) plus what only the owner of the server's
 /// lifecycle may do — launch agents, register resources, edit policy,
-/// shut down. Dropping it does **not** stop the server; call
-/// [`ServerHandle::shutdown`].
+/// shut down. [`ServerHandle::shutdown`] and dropping the handle do the
+/// same: the server's endpoint is detached from its transport, and the
+/// loop handles what was already delivered, sends the acks it owes and
+/// exits before the handle returns. Agents already running are left to
+/// the scheduler.
 pub struct ServerHandle {
     view: ControlView,
-    ctrl: Sender<Control>,
     join: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -1121,12 +1120,7 @@ impl std::ops::Deref for ServerHandle {
 impl ServerHandle {
     /// Launches an agent from this (home) server toward `dest`.
     pub fn launch(&self, dest: Urn, credentials: Credentials, image: AgentImage) {
-        let _ = self.ctrl.send(Control::Launch {
-            dest,
-            credentials,
-            image,
-            fallbacks: Vec::new(),
-        });
+        self.start_launch(dest, credentials, image, Vec::new());
     }
 
     /// Launches an agent along `itinerary`: toward its first stop, with
@@ -1145,12 +1139,28 @@ impl ServerHandle {
             );
             return;
         };
-        let _ = self.ctrl.send(Control::Launch {
-            dest,
-            credentials,
-            image,
-            fallbacks: rest.stops().to_vec(),
-        });
+        self.start_launch(dest, credentials, image, rest.stops().to_vec());
+    }
+
+    /// Starts a launch leg on the caller's thread, as `go` and child
+    /// dispatch start theirs. Every launch roots a fresh trace: a
+    /// Dispatch span with no parent, whose id every later span of the
+    /// tour transitively descends from.
+    fn start_launch(
+        &self,
+        dest: Urn,
+        credentials: Credentials,
+        image: AgentImage,
+        fallbacks: Vec<Urn>,
+    ) {
+        let launch = Leg::Dispatch {
+            parent: None,
+            payload: Vec::new(),
+            what: "launch",
+        };
+        let agent = credentials.agent.clone();
+        let shared = &self.view.shared;
+        shared.start_leg(dest, agent, credentials, image, fallbacks, launch);
     }
 
     /// Registers a resource in this server's registry (server domain).
@@ -1226,22 +1236,26 @@ impl ServerHandle {
         agent: &Urn,
         timeout: std::time::Duration,
     ) -> Result<AgentStatus, QueryError> {
+        let shared = &self.view.shared;
+        // The reply slot is registered before the query leaves, so the
+        // loop can complete it however soon the reply arrives.
+        let query_id = shared.next_query_id.fetch_add(1, Ordering::Relaxed);
         let (reply_tx, reply_rx) = crossbeam::channel::bounded(1);
-        if self
-            .ctrl
-            .send(Control::QueryStatus {
-                server: server.clone(),
-                agent: agent.clone(),
-                reply: reply_tx,
-            })
-            .is_err()
-        {
-            return Err(QueryError::Unreachable("local server is shut down".into()));
-        }
-        match reply_rx.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(_) => Err(QueryError::Timeout),
-        }
+        shared.queries.lock().insert(query_id, reply_tx);
+        let msg = Message::StatusQuery {
+            query_id,
+            agent: agent.clone(),
+        };
+        // Tell the caller *why* instead of letting it time out against a
+        // server that was never asked.
+        let result = match shared.send_message(server, &msg) {
+            Ok(()) => reply_rx
+                .recv_timeout(timeout)
+                .map_err(|_| QueryError::Timeout),
+            Err(e) => Err(QueryError::Unreachable(e)),
+        };
+        shared.queries.lock().remove(&query_id);
+        result
     }
 
     /// Scheduler queue depths as seen from this server's pool: tasks
@@ -1276,11 +1290,21 @@ impl ServerHandle {
         self.view.shared.local_mail(from, to, data)
     }
 
-    /// Stops the server loop and joins its thread. The scheduler is
-    /// left to whoever created it (see [`ServerConfig::scheduler`]).
-    pub fn shutdown(mut self) {
-        let _ = self.ctrl.send(Control::Shutdown);
+    /// Stops the server loop and joins its thread, as dropping the
+    /// handle does (see [`ServerHandle`]). The scheduler is left to
+    /// whoever created it (see [`ServerConfig::scheduler`]).
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for ServerHandle {
+    /// Detaches the server's endpoint, which ends the loop's inbox, and
+    /// joins the loop.
+    fn drop(&mut self) {
         if let Some(join) = self.join.take() {
+            let shared = &self.view.shared;
+            shared.net.detach(&shared.name);
             let _ = join.join();
         }
     }
@@ -1507,6 +1531,8 @@ impl AgentServer {
             journal,
             reports: Mutex::new(Vec::new()),
             reports_cv: Condvar::new(),
+            queries: Mutex::new(HashMap::new()),
+            next_query_id: AtomicU64::new(1),
             // A restarted incarnation draws fresh ephemerals and
             // signature nonces: the same seed would replay the previous
             // incarnation's, and one nonce under two messages gives the
@@ -1550,16 +1576,14 @@ impl AgentServer {
             }));
         }
 
-        let (ctrl_tx, ctrl_rx) = unbounded();
         let loop_shared = Arc::clone(&shared);
         let join = std::thread::Builder::new()
             .name(format!("ajanta-{}", config.name.leaf()))
-            .spawn(move || server_loop(loop_shared, endpoint, ctrl_rx, replay))
+            .spawn(move || server_loop(loop_shared, endpoint, replay))
             .expect("spawning server thread");
 
         ServerHandle {
             view: ControlView { shared },
-            ctrl: ctrl_tx,
             join: Some(join),
         }
     }
@@ -1569,9 +1593,6 @@ impl AgentServer {
 struct LoopState {
     /// The datagram sessions peers opened to this incarnation.
     guard: ReplayGuard,
-    /// Status queries awaiting a peer's reply, by query id.
-    pending_queries: BTreeMap<u64, Sender<Result<AgentStatus, QueryError>>>,
-    next_query_id: u64,
     /// Admitted agents collected this tick; handed to the scheduler as
     /// one batch so a delivery burst costs one queue wakeup, not N.
     batch: Vec<Box<dyn Task>>,
@@ -1595,16 +1616,12 @@ impl LoopState {
     }
 }
 
-fn server_loop(
-    shared: Arc<Shared>,
-    endpoint: Box<dyn NetEndpoint>,
-    ctrl: Receiver<Control>,
-    replay: Vec<AgentBundle>,
-) {
+/// The server loop: its one inbox is the server's endpoint. It ends
+/// when the endpoint is detached ([`ServerHandle::shutdown`] or a dropped
+/// handle) and everything delivered before has been handled.
+fn server_loop(shared: Arc<Shared>, endpoint: Box<dyn NetEndpoint>, replay: Vec<AgentBundle>) {
     let mut state = LoopState {
         guard: ReplayGuard::since(shared.born),
-        pending_queries: BTreeMap::new(),
-        next_query_id: 1,
         batch: Vec::new(),
         outbox: Vec::new(),
     };
@@ -1628,61 +1645,26 @@ fn server_loop(
         // pass runs after the previous burst was drained and its acks
         // flushed, so an ack already received clears its frame before
         // that frame's grace is checked. The loop then blocks no longer
-        // than the next frame needs.
+        // than the next frame needs. Every receive advances a simulated
+        // clock to the delivery's arrival.
         let wait = shared.service_due(&state.guard);
-        crossbeam::channel::select! {
-            recv(ctrl) -> cmd => match cmd {
-                Ok(Control::Launch { dest, credentials, image, fallbacks }) => {
-                    // Every launch roots a fresh trace: a Dispatch span
-                    // with no parent, whose id every later span of the
-                    // tour transitively descends from.
-                    let launch = Leg::Dispatch {
-                        parent: None,
-                        payload: Vec::new(),
-                        what: "launch",
-                    };
-                    let agent = credentials.agent.clone();
-                    shared.start_leg(dest, agent, credentials, image, fallbacks, launch);
-                }
-                Ok(Control::QueryStatus { server, agent, reply }) => {
-                    let query_id = state.next_query_id;
-                    state.next_query_id += 1;
-                    let msg = Message::StatusQuery { query_id, agent };
-                    match shared.send_message(&server, &msg) {
-                        Ok(()) => {
-                            state.pending_queries.insert(query_id, reply);
-                        }
-                        // Tell the caller *why* instead of letting it
-                        // time out against a server that was never asked.
-                        Err(e) => {
-                            let _ = reply.send(Err(QueryError::Unreachable(e)));
-                        }
-                    }
-                }
-                Ok(Control::Shutdown) | Err(_) => break,
-            },
-            recv(endpoint.receiver()) -> delivery => match delivery {
-                Ok(d) => {
-                    shared.net.clock().advance_to(d.arrival_ns);
-                    handle_delivery(&shared, d, &mut state);
-                }
-                Err(_) => break,
-            },
-            default(wait) => {}
+        match endpoint.recv_timeout(wait) {
+            Ok(d) => handle_delivery(&shared, d, &mut state),
+            // Detached, and every earlier delivery handled: the pass
+            // that drained the last burst flushed its acks (a peer must
+            // not re-send a transfer this server admitted) and handed
+            // its admissions to the scheduler, whose drain-on-stop runs
+            // them.
+            Err(NetError::Disconnected) => return,
+            Err(_) => {}
         }
         // Drain the rest of the burst without blocking, then enqueue
         // the whole tick's admissions at once.
-        while let Ok(d) = endpoint.receiver().try_recv() {
-            shared.net.clock().advance_to(d.arrival_ns);
+        while let Ok(d) = endpoint.try_recv() {
             handle_delivery(&shared, d, &mut state);
         }
         state.flush(&shared);
     }
-    // A shutdown racing a delivery burst must not strand admitted (and
-    // domain-registered) agents: flush, then let the scheduler's own
-    // drain-on-stop run them. Acks owed for that last burst go out
-    // first — a peer must not re-send a transfer this server admitted.
-    state.flush(&shared);
 }
 
 fn handle_delivery(shared: &Arc<Shared>, delivery: Delivery, state: &mut LoopState) {
@@ -1819,8 +1801,8 @@ fn handle_delivery(shared: &Arc<Shared>, delivery: Delivery, state: &mut LoopSta
         Message::StatusReply {
             query_id, status, ..
         } => {
-            if let Some(reply) = state.pending_queries.remove(&query_id) {
-                let _ = reply.send(Ok(status));
+            if let Some(reply) = shared.queries.lock().remove(&query_id) {
+                let _ = reply.send(status);
             }
         }
     }
@@ -2342,6 +2324,76 @@ mod tests {
             tracked <= 8,
             "{tracked} grants tracked for zero live proxies"
         );
+        world.shutdown();
+    }
+
+    /// The detach wakes a loop blocked for a whole ack grace: with X16's
+    /// 60 s grace, an idle loop waits 60 s between retry passes.
+    #[test]
+    fn shutdown_wakes_a_loop_blocked_for_a_long_ack_grace() {
+        let world = crate::World::builder(2)
+            .retry(RetryPolicy {
+                max_attempts: 5,
+                ack_grace: Duration::from_secs(60),
+            })
+            .build();
+        // Let both loops reach their blocking receive.
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = Instant::now();
+        world.shutdown();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    }
+
+    /// A handle dropped without `shutdown` still stops its loop, which
+    /// releases the server, and frees its name for a new endpoint that
+    /// stays attached.
+    #[test]
+    fn dropping_a_handle_stops_its_loop_and_frees_its_name() {
+        let mut world = crate::World::new(2);
+        let handle = world.servers.remove(1);
+        let name = handle.name().clone();
+        let shared = Arc::clone(&handle.view.shared);
+        drop(handle);
+        assert_eq!(Arc::strong_count(&shared), 1, "the loop still runs");
+        let endpoint = world.net.attach(name.clone()).expect("the name is free");
+        assert!(matches!(
+            world.net.attach(name),
+            Err(NetError::NameInUse(_))
+        ));
+        drop(endpoint);
+        world.shutdown();
+    }
+
+    /// A query leaves no reply slot behind, whether it is answered, times
+    /// out or cannot be sent.
+    #[test]
+    fn status_queries_leave_no_pending_slot() {
+        let world = crate::World::new(2);
+        let home = world.server(0);
+        let slots = || home.view.shared.queries.lock().len();
+        let agent = Urn::agent("queries.org", ["a"]).unwrap();
+        let peer = world.server(1).name().clone();
+        let wait = Duration::from_secs(10);
+        assert_eq!(
+            home.query_status(&peer, &agent, wait),
+            Ok(AgentStatus::NotResident)
+        );
+        assert_eq!(slots(), 0, "answered");
+
+        let ghost = Urn::server("queries.org", ["ghost"]).unwrap();
+        assert!(matches!(
+            home.query_status(&ghost, &agent, wait),
+            Err(QueryError::Unreachable(_))
+        ));
+        assert_eq!(slots(), 0, "not sent");
+
+        world.set_adversary(Some(Arc::new(ajanta_net::Dropper::new(1, 1.0))));
+        assert_eq!(
+            home.query_status(&peer, &agent, Duration::from_millis(50)),
+            Err(QueryError::Timeout)
+        );
+        assert_eq!(slots(), 0, "timed out");
         world.shutdown();
     }
 }

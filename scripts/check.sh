@@ -21,6 +21,8 @@ run cargo fmt --all --check
 run cargo build --release $OFFLINE
 run cargo test -q $OFFLINE
 run cargo clippy --all-targets $OFFLINE -- -D warnings
+# Rustdoc must stay warning-free too, so no intra-doc link dangles.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace $OFFLINE
 
 # The outside-in benchmark (perfbench/, its own workspace) must still
 # build against the crates' public API without re-resolving its lock.
