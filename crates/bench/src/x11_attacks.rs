@@ -33,15 +33,19 @@ pub struct AttackRow {
     pub launched: u64,
     /// Agents that completed normally.
     pub completed: u64,
-    /// Rejections journaled across both servers, except the
-    /// `DuplicateHop` that custody journals for the second copy of a
-    /// needlessly retried frame: no attack trial causes one, since a
-    /// forged, tampered or replayed frame is refused when it is opened.
-    /// (The restart row counts every rejection on the restarted server.)
+    /// Rejections journaled across both servers (the `Rejections`
+    /// counter — exact even past the journal's retention bound).
     pub detections: u64,
     /// Rejections classified as replay-class ([`RejectKind::Replay`])
     /// by the typed journal.
     pub replays: u64,
+    /// Frames refused when they were opened: the journal's forgery-class
+    /// ([`RejectKind::BadDatagram`]) and replay-class rejections, where
+    /// every forged, tampered or replayed frame lands. Unlike
+    /// `detections` it leaves out custody's `DuplicateHop` for the second
+    /// copy of a retried frame, which a loaded host's retries cause
+    /// without any attack.
+    pub refused: u64,
     /// Frames the adversary injected (forgeries, replays), as the
     /// transports counted them.
     pub injected: u64,
@@ -96,12 +100,15 @@ fn trial(
         .iter()
         .filter(|r| matches!(r.status, ReportStatus::Completed(_)))
         .count() as u64;
-    // Typed telemetry instead of string-matched event kinds: both counts
-    // match journal records on their `RejectKind` variant.
+    // Typed telemetry instead of string-matched event kinds: the
+    // aggregate comes from O(1) counters, the classifications from
+    // matching journal records on their `RejectKind` variant.
     let servers = &world.servers;
-    let detections = || -> u64 {
-        let attack = |k: &RejectKind| *k != RejectKind::DuplicateHop;
-        servers.iter().map(|s| rejected_where(s, attack)).sum()
+    let refused = || -> u64 {
+        servers
+            .iter()
+            .map(|s| rejected(s, RejectKind::BadDatagram) + rejected(s, RejectKind::Replay))
+            .sum()
     };
     let injected = || -> u64 {
         world
@@ -112,15 +119,17 @@ fn trial(
     };
     // The last acks, and the forgeries or replays riding behind them,
     // are still in flight when the last report arrives: wait until no
-    // server awaits an ack and the rejections reach the injected count.
+    // server awaits an ack and the frames refused at open reach the
+    // injected count.
     wait_until(Duration::from_secs(5), || {
-        servers.iter().all(|s| s.pending_send_count() == 0) && detections() >= injected()
+        servers.iter().all(|s| s.pending_send_count() == 0) && refused() >= injected()
     });
-    let (detections, injected) = (detections(), injected());
-    let replays = servers
-        .iter()
-        .map(|s| rejected(s, RejectKind::Replay))
-        .sum();
+    let (refused, injected) = (refused(), injected());
+    let (mut detections, mut replays) = (0u64, 0u64);
+    for server in servers {
+        detections += server.journal().counter(Counter::Rejections);
+        replays += rejected(server, RejectKind::Replay);
+    }
     let note = note_fn(&world, completed);
     world.shutdown();
     AttackRow {
@@ -129,6 +138,7 @@ fn trial(
         completed,
         detections,
         replays,
+        refused,
         injected,
         note,
     }
@@ -136,16 +146,11 @@ fn trial(
 
 /// Rejections of `kind` in `server`'s journal.
 fn rejected(server: &ServerHandle, kind: RejectKind) -> u64 {
-    rejected_where(server, |k| *k == kind)
-}
-
-/// Rejections in `server`'s journal whose kind passes `pick`.
-fn rejected_where(server: &ServerHandle, pick: impl Fn(&RejectKind) -> bool) -> u64 {
     server
         .journal()
         .snapshot()
         .iter()
-        .filter(|r| matches!(&r.event, Event::Rejected { kind, .. } if pick(kind)))
+        .filter(|r| matches!(&r.event, Event::Rejected { kind: k, .. } if *k == kind))
         .count() as u64
 }
 
@@ -304,6 +309,7 @@ pub fn restart_replay(n: u64, seed: u64) -> AttackRow {
     let server = world.server(1);
     let (replays, duplicates) = (replays(), rejected(server, RejectKind::DuplicateHop));
     let detections = server.journal().counter(Counter::Rejections);
+    let refused = replays + rejected(server, RejectKind::BadDatagram);
     let (admitted, wal_replayed) = server
         .journal()
         .snapshot()
@@ -334,6 +340,7 @@ pub fn restart_replay(n: u64, seed: u64) -> AttackRow {
         completed,
         detections,
         replays,
+        refused,
         injected: captured.len() as u64,
         note: format!(
             "{} captured frames replayed into the restarted server: {replays} refused at \

@@ -67,8 +67,8 @@ fn replay_across_a_restart_is_refused_at_open() {
 
 /// Every injected forgery and replay is counted, on the simulation and
 /// over sockets: a trial waits until no server awaits an ack and the
-/// rejections reach the adversary's count, so the frames still in
-/// flight behind the last report are not missed.
+/// frames refused at open reach the adversary's count, so the frames
+/// still in flight behind the last report are not missed.
 #[test]
 fn every_injected_forgery_and_replay_is_detected() {
     for mode in [TransportMode::Sim, TransportMode::Uds] {
@@ -76,7 +76,8 @@ fn every_injected_forgery_and_replay_is_detected() {
         for attack in ["forge", "replay"] {
             let row = rows.iter().find(|r| r.attack.starts_with(attack)).unwrap();
             assert!(row.injected >= 12, "{mode:?}: {row:?}");
-            assert_eq!(row.detections, row.injected, "{mode:?}: {row:?}");
+            assert_eq!(row.refused, row.injected, "{mode:?}: {row:?}");
+            assert!(row.detections >= row.refused, "{mode:?}: {row:?}");
         }
         let replay = rows
             .iter()
