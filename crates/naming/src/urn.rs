@@ -12,6 +12,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -88,11 +89,31 @@ impl fmt::Display for NameKind {
 /// Instances are canonical by construction — parsing and the builder
 /// constructors reject anything outside the grammar, so two equal names
 /// always have identical text forms.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Urn {
+///
+/// A name is one shared, immutable allocation: cloning it bumps a
+/// reference count and the last drop frees it. Equality, ordering and
+/// hashing are those of its parts (authority, kind, path, in that
+/// order), with a pointer fast path for equality.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+pub struct Urn(Arc<Parts>);
+
+#[derive(PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct Parts {
     authority: String,
     kind: NameKind,
     path: Vec<String>,
+}
+
+/// Prints what a derived `Debug` on a plain `{ authority, kind, path }`
+/// struct prints, so logs and assertion messages do not show the sharing.
+impl fmt::Debug for Urn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Urn")
+            .field("authority", &self.0.authority)
+            .field("kind", &self.0.kind)
+            .field("path", &self.0.path)
+            .finish()
+    }
 }
 
 impl Urn {
@@ -115,11 +136,15 @@ impl Urn {
         if path.is_empty() {
             return Err(NameError::EmptyPath);
         }
-        Ok(Urn {
-            authority: authority.to_string(),
+        Ok(Urn::from_parts(authority.to_string(), kind, path))
+    }
+
+    fn from_parts(authority: String, kind: NameKind, path: Vec<String>) -> Self {
+        Urn(Arc::new(Parts {
+            authority,
             kind,
             path,
-        })
+        }))
     }
 
     /// Convenience constructor for [`NameKind::Agent`] names.
@@ -164,22 +189,22 @@ impl Urn {
 
     /// The registering organization, e.g. `umn.edu`.
     pub fn authority(&self) -> &str {
-        &self.authority
+        &self.0.authority
     }
 
     /// The kind tag.
     pub fn kind(&self) -> NameKind {
-        self.kind
+        self.0.kind
     }
 
     /// Path segments below the kind, always non-empty.
     pub fn path(&self) -> &[String] {
-        &self.path
+        &self.0.path
     }
 
     /// The final path segment — the object's local name.
     pub fn leaf(&self) -> &str {
-        self.path.last().expect("path is never empty")
+        self.0.path.last().expect("path is never empty")
     }
 
     /// Derives a child name by appending one segment, e.g. naming the
@@ -187,13 +212,9 @@ impl Urn {
     pub fn child<S: AsRef<str>>(&self, segment: S) -> Result<Self, NameError> {
         let s = segment.as_ref();
         validate_segment(s)?;
-        let mut path = self.path.clone();
+        let mut path = self.0.path.clone();
         path.push(s.to_string());
-        Ok(Urn {
-            authority: self.authority.clone(),
-            kind: self.kind,
-            path,
-        })
+        Ok(Urn::from_parts(self.0.authority.clone(), self.0.kind, path))
     }
 
     /// True when `self` names an object inside `ancestor`'s subtree
@@ -201,17 +222,18 @@ impl Urn {
     ///
     /// Used by policies granting rights over whole name subtrees.
     pub fn is_within(&self, ancestor: &Urn) -> bool {
-        self.authority == ancestor.authority
-            && self.kind == ancestor.kind
-            && self.path.len() >= ancestor.path.len()
-            && self.path[..ancestor.path.len()] == ancestor.path[..]
+        let (a, b) = (&*self.0, &*ancestor.0);
+        a.authority == b.authority
+            && a.kind == b.kind
+            && a.path.len() >= b.path.len()
+            && a.path[..b.path.len()] == b.path[..]
     }
 }
 
 impl fmt::Display for Urn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ajn://{}/{}", self.authority, self.kind)?;
-        for seg in &self.path {
+        write!(f, "ajn://{}/{}", self.0.authority, self.0.kind)?;
+        for seg in &self.0.path {
             write!(f, "/{seg}")?;
         }
         Ok(())
@@ -236,11 +258,7 @@ impl FromStr for Urn {
         if path.is_empty() {
             return Err(NameError::EmptyPath);
         }
-        Ok(Urn {
-            authority: authority.to_string(),
-            kind,
-            path,
-        })
+        Ok(Urn::from_parts(authority.to_string(), kind, path))
     }
 }
 

@@ -74,6 +74,41 @@ proptest! {
         }
     }
 
+    /// Sharing the name's parts changes none of its comparisons: `cmp`,
+    /// `==`, the hash and the `Debug` text equal those of a plain struct
+    /// with the same fields in the same order.
+    #[test]
+    fn shared_layout_compares_hashes_and_prints_as_plain_fields(a in urn(), b in urn()) {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        #[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        struct Urn {
+            authority: String,
+            kind: NameKind,
+            path: Vec<String>,
+        }
+        fn plain(u: &ajanta_naming::Urn) -> Urn {
+            Urn {
+                authority: u.authority().to_string(),
+                kind: u.kind(),
+                path: u.path().to_vec(),
+            }
+        }
+        fn hash<T: Hash>(t: &T) -> u64 {
+            let mut h = DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        }
+
+        let (pa, pb) = (plain(&a), plain(&b));
+        prop_assert_eq!(a.cmp(&b), pa.cmp(&pb));
+        prop_assert_eq!(a == b, pa == pb);
+        prop_assert_eq!(hash(&a), hash(&pa));
+        prop_assert_eq!(format!("{a:?}"), format!("{pa:?}"));
+        prop_assert_eq!(format!("{b:#?}"), format!("{pb:#?}"));
+    }
+
     /// Registry: after a register, lookup returns the record; after an
     /// owner-authorized unregister, it does not; a wrong caller never
     /// changes the registry.

@@ -46,22 +46,27 @@ median:
   within      otherwise.
 
 A clean separation settles a wide spread either way, so a regression that
-every pair shows is reported as worse, never as unresolved. The exit
-status is 1 if any metric is worse beyond its bound, else 0. Entries
-without end-to-end metrics (traced runs) are skipped.
+every pair shows is reported as worse, never as unresolved. A metric that
+reads better is also marked claimable or not claimable: a gain is
+claimable when the change won at least 9 of every 10 pairs and the
+medians differ by more than the parent's Q3 - Q1. The exit status is 1 if
+any metric is worse beyond its bound, else 0. Entries without end-to-end
+metrics (traced runs) are skipped.
 
     python3 scripts/bench_record.py --compare BENCH_21.json BENCH_23.json
 
 compares the change runs of two BENCH files, for every workload both hold
 and every end-to-end metric, by the same words and rule: the older file's
 change runs stand where --verdict puts the parent's, the newer file's
-where it puts the change's. It exits 1 if any metric is worse beyond its
-bound. A file compared with itself moves nowhere, so every metric whose
-spread is within its bound reads within.
+where it puts the change's. The two files' runs were not interleaved, so
+for the claim rule their i-th runs stand as pair i. It exits 1 if any
+metric is worse beyond its bound. A file compared with itself moves
+nowhere, so every metric whose spread is within its bound reads within.
 """
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -165,7 +170,7 @@ def record_workload(workload, exes, args, seconds, metric_spec, context):
 
 def judge(workload, m, base, new, base_label):
     """Prints one metric's verdict, `new` runs against `base` runs, and
-    returns the word."""
+    returns the word and whether it is a claimable gain."""
     name, bound = m["name"], m["bound"]
     sign = 1 if m["better"] == "higher" else -1
     q = quartiles(base)
@@ -183,14 +188,17 @@ def judge(workload, m, base, new, base_label):
         word = "better"
     else:
         word = "within"
+    won = sum(1 for b, n in zip(base, new) if sign * (n - b) > 0)
     line = (f"{workload:8} {name:17} {word:10} median {q['median']:.4g} -> {med_n:.4g} "
-            f"({sign * moved:+.1%}), {base_label} spread {spread:.0%}, bound {bound:.0%}")
-    if base_label == "parent":
-        # Runs pair up only inside one interleaved recording.
-        won = sum(1 for b, n in zip(base, new) if sign * (n - b) > 0)
-        line += f", change won {won}/{len(base)} pairs"
+            f"({sign * moved:+.1%}), {base_label} spread {spread:.0%}, bound {bound:.0%}, "
+            f"{'change' if base_label == 'parent' else 'new'} won {won}/{len(base)} pairs")
+    # The medians' gap against the base's Q3 - Q1, both relative to the
+    # base median.
+    claimable = word == "better" and won >= math.ceil(0.9 * len(base)) and abs(moved) > spread
+    if word == "better":
+        line += ", claimable" if claimable else ", not claimable"
     print(line)
-    return word
+    return word, claimable
 
 
 def metric_runs(entry, side, name):
@@ -202,16 +210,17 @@ def verdict(path, end_to_end):
     returns the exit status: 1 if any metric is worse beyond its bound."""
     with open(path) as f:
         doc = json.load(f)
-    worse = 0
+    worse = claims = 0
     for workload, entry in sorted(doc["workloads"].items()):
         for m in end_to_end:
             if m["name"] not in entry["parent"]["runs"][0]["metrics"]:
                 continue
-            word = judge(workload, m, metric_runs(entry, "parent", m["name"]),
-                         metric_runs(entry, "change", m["name"]), "parent")
+            word, claimable = judge(workload, m, metric_runs(entry, "parent", m["name"]),
+                                    metric_runs(entry, "change", m["name"]), "parent")
             worse += word == "worse"
+            claims += claimable
     print(f"{path}: {'REGRESSION' if worse else 'no regression'} "
-          f"({worse} metric(s) worse beyond their bound)")
+          f"({worse} metric(s) worse beyond their bound, {claims} claimable gain(s))")
     return 1 if worse else 0
 
 
@@ -224,16 +233,17 @@ def compare(old_path, new_path, end_to_end):
         with open(path) as f:
             docs.append(json.load(f)["workloads"])
     old, new = docs
-    worse = 0
+    worse = claims = 0
     for workload in sorted(set(old) & set(new)):
         for m in end_to_end:
             if m["name"] not in old[workload]["change"]["runs"][0]["metrics"]:
                 continue
-            word = judge(workload, m, metric_runs(old[workload], "change", m["name"]),
-                         metric_runs(new[workload], "change", m["name"]), "old")
+            word, claimable = judge(workload, m, metric_runs(old[workload], "change", m["name"]),
+                                    metric_runs(new[workload], "change", m["name"]), "old")
             worse += word == "worse"
+            claims += claimable
     print(f"{old_path} -> {new_path}: {'REGRESSION' if worse else 'no regression'} "
-          f"({worse} metric(s) worse beyond their bound)")
+          f"({worse} metric(s) worse beyond their bound, {claims} claimable gain(s))")
     return 1 if worse else 0
 
 
