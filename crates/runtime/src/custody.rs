@@ -1,7 +1,7 @@
 //! The custody core of the reliable-delivery layer. [`Custody`] does no
-//! I/O — callers pass `now`, the real time since the server started —
-//! and makes every custody decision, returning what to send and what to
-//! log:
+//! I/O — callers pass `now`, the time since the server started on its
+//! custody clock (real time, or a simulator's virtual time) — and makes
+//! every custody decision, returning what to send and what to log:
 //!
 //! - the receive rule: which ack an arriving reliable frame earns and
 //!   whether it is the first copy ([`Custody::receive`]);
@@ -146,8 +146,9 @@ pub(crate) struct PendingSend {
     pub(crate) msg: Message,
     /// Send attempts so far (≥ 1).
     pub(crate) attempt: u32,
-    /// Real time (since the server started) of the last attempt; the
-    /// frame falls due once its ack grace has passed since then.
+    /// Custody-clock time (since the server started) of the last
+    /// attempt; the frame falls due once its ack grace has passed since
+    /// then.
     pub(crate) sent_at: Duration,
     /// `Some` for transfers (dead-stop recovery), `None` for reports.
     pub(crate) recovery: Option<Recovery>,
@@ -362,9 +363,9 @@ impl Custody {
         }
     }
 
-    /// Removes every frame whose ack grace has passed by `now`, split by
-    /// whether it has attempts left, and says how long the caller may
-    /// wait before the next call.
+    /// Removes every frame whose ack grace has passed by `now`, in key
+    /// order and split by whether it has attempts left, and says how
+    /// long the caller may wait before the next call.
     pub(crate) fn take_due(&mut self, now: Duration) -> Due {
         let longest = self.policy.grace(1);
         let mut due = Due {
@@ -377,7 +378,7 @@ impl Custody {
             return due;
         }
         let mut next_due = Duration::MAX;
-        let lapsed: Vec<SendKey> = self
+        let mut lapsed: Vec<SendKey> = self
             .pending
             .iter()
             .filter_map(|(key, frame)| {
@@ -389,6 +390,7 @@ impl Custody {
                 None
             })
             .collect();
+        lapsed.sort_unstable();
         self.next_due = next_due;
         due.wait = longest.min(next_due - now);
         for key in lapsed {
@@ -406,6 +408,12 @@ impl Custody {
     /// Number of tracked frames.
     pub(crate) fn len(&self) -> usize {
         self.pending.len()
+    }
+
+    /// Every tracked frame, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn tracked(&self) -> impl Iterator<Item = (&SendKey, &PendingSend)> {
+        self.pending.iter()
     }
 
     /// `(agent, hop)` admissions whose custody rides a tracked frame,
@@ -429,12 +437,8 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::{BTreeMap, BinaryHeap};
 
-    use ajanta_core::{CredentialsBuilder, Rights, SpanId, TraceId};
-    use ajanta_crypto::{DetRng, KeyPair};
-    use ajanta_vm::{AgentImage, ModuleBuilder, Op, Ty};
-
-    use crate::messages::Report;
-    use crate::wal::AdmissionWal;
+    use ajanta_core::{SpanId, TraceId};
+    use ajanta_crypto::DetRng;
 
     const MS: Duration = Duration::from_millis(1);
 
@@ -677,633 +681,5 @@ mod tests {
         }
         let acked = outcome.values().filter(|e| **e == "acked").count();
         assert!(acked > 0 && acked < FRAMES as usize, "both endings occur");
-    }
-
-    /// The crash exchange's home: every agent launches from and reports
-    /// to server 0, which never crashes, because a launch is tracked in
-    /// memory only until its first ack.
-    const HOME: usize = 0;
-    const SERVERS: usize = 3;
-
-    fn crash_policy() -> RetryPolicy {
-        policy(4, 5)
-    }
-
-    /// One server of the crash exchange.
-    struct Node {
-        custody: Custody,
-        /// The admission WAL. An append flushes before it returns, so a
-        /// crash keeps every record whose append returned: the whole
-        /// vector is the durable prefix.
-        wal: Vec<WalRecord>,
-        /// Running stays: (end, agent, hop).
-        stays: Vec<(Duration, Urn, u64)>,
-        next_report_seq: u64,
-        incarnation: u32,
-        /// WAL appends and frames sent so far; the crash point counts them.
-        effects: u64,
-        /// While down after the crash: when it restarts.
-        down_until: Option<Duration>,
-    }
-
-    /// A tracked frame as the exchange saw it: the admission it carries
-    /// and how it ended.
-    struct Tracked {
-        custody: Option<(Urn, u64)>,
-        ended: Option<&'static str>,
-    }
-
-    /// What all seeds saw, so the test can show it reached every path.
-    #[derive(Default, Debug)]
-    struct Tally {
-        acked: u64,
-        skipped: u64,
-        sent_home: u64,
-        lost: u64,
-        duplicates: u64,
-        replayed: u64,
-        crashes: u64,
-        /// Admissions whose custody rode an unacked frame at a crash.
-        caught_in_flight: u64,
-    }
-
-    /// One seed of the crash exchange. Each server runs the decisions the
-    /// server loop runs — `receive`, `hand_off`, `acked`, `take_due`,
-    /// `dead_stop`, `recover` — in the server's order: an admission's
-    /// `Admit` is appended before its ack is sent, a frame is sent before
-    /// it is tracked.
-    struct Exchange {
-        seed: u64,
-        now: Duration,
-        rng: DetRng,
-        names: Vec<Urn>,
-        nodes: Vec<Node>,
-        /// Frames in flight by (arrival, send order): (from, to, frame).
-        link: BTreeMap<(Duration, u64), (usize, usize, Message)>,
-        sends: u64,
-        /// The crash point, until it is reached: this server, at this
-        /// many effects.
-        crash_at: Option<(usize, u64)>,
-        /// Each agent's itinerary: distinct servers.
-        plans: BTreeMap<Urn, Vec<usize>>,
-        credentials: Credentials,
-        image: AgentImage,
-        /// Admissions that reached the WAL, per (server, agent, hop).
-        admitted: HashMap<(usize, Urn, u64), u32>,
-        /// Tracked frames by (server, incarnation, key).
-        frames: HashMap<(usize, u32, SendKey), Tracked>,
-        recorded: HashSet<Urn>,
-        lost: HashSet<Urn>,
-        tally: Tally,
-    }
-
-    impl Exchange {
-        fn index(&self, name: &Urn) -> usize {
-            self.names.iter().position(|n| n == name).unwrap()
-        }
-
-        fn up(&self, node: usize) -> bool {
-            self.nodes[node].down_until.is_none()
-        }
-
-        /// Counts one effect of `node`. Returns false, and the effect does
-        /// not happen, when the node is down or crashes right here.
-        fn effect(&mut self, node: usize) -> bool {
-            if !self.up(node) {
-                return false;
-            }
-            if self.crash_at == Some((node, self.nodes[node].effects)) {
-                self.crash_at = None;
-                self.crash(node);
-                return false;
-            }
-            self.nodes[node].effects += 1;
-            true
-        }
-
-        fn append(&mut self, node: usize, record: WalRecord) -> bool {
-            let ok = self.effect(node);
-            if ok {
-                self.nodes[node].wal.push(record);
-            }
-            ok
-        }
-
-        /// Puts one frame on the link, which drops, duplicates and, by a
-        /// random delay per copy, reorders frames.
-        fn send(&mut self, from: usize, to: usize, msg: &Message) -> bool {
-            if !self.effect(from) {
-                return false;
-            }
-            let copies = match self.rng.unit_f64() {
-                x if x < 0.2 => 0,
-                x if x < 0.3 => 2,
-                _ => 1,
-            };
-            for _ in 0..copies {
-                self.sends += 1;
-                let at = self.now + Duration::from_micros(self.rng.below(6_000));
-                self.link.insert((at, self.sends), (from, to, msg.clone()));
-            }
-            true
-        }
-
-        fn send_reliable(
-            &mut self,
-            node: usize,
-            dest: usize,
-            msg: Message,
-            key: SendKey,
-            recovery: Option<Recovery>,
-            custody: Option<(Urn, u64)>,
-        ) {
-            if !self.send(node, dest, &msg) {
-                return;
-            }
-            let frame = PendingSend {
-                dest: self.names[dest].clone(),
-                msg,
-                attempt: 1,
-                sent_at: self.now,
-                recovery,
-                ctx: SpanContext::root(TraceId(0), SpanId(0)),
-                first_sent_ns: 0,
-                last_sent_ns: 0,
-                custody: None,
-            };
-            let tracked = Tracked {
-                custody: custody.clone(),
-                ended: None,
-            };
-            let id = (node, self.nodes[node].incarnation, key.clone());
-            assert!(
-                self.frames.insert(id, tracked).is_none(),
-                "seed {}: {key:?} tracked twice",
-                self.seed
-            );
-            if let Some(record) = self.nodes[node]
-                .custody
-                .hand_off(custody, Some((key, frame)))
-            {
-                self.append(node, record);
-            }
-        }
-
-        /// A leg toward `stops[0]`, with the rest as fallbacks.
-        fn start_leg(
-            &mut self,
-            node: usize,
-            agent: &Urn,
-            hop: u64,
-            stops: &[usize],
-            custody: Option<(Urn, u64)>,
-        ) {
-            let msg = Message::Transfer {
-                run_as: agent.clone(),
-                credentials: self.credentials.clone(),
-                image: self.image.clone(),
-                hop,
-                arg: Vec::new(),
-                ctx: SpanContext::root(TraceId(0), SpanId(0)),
-                sent_ns: 0,
-            };
-            let recovery = Recovery {
-                credentials: self.credentials.clone(),
-                fallbacks: stops[1..].iter().map(|&s| self.names[s].clone()).collect(),
-            };
-            let key = (Ack::TRANSFER, agent.clone(), hop);
-            self.send_reliable(node, stops[0], msg, key, Some(recovery), custody);
-        }
-
-        fn report_home(&mut self, node: usize, agent: &Urn, custody: Option<(Urn, u64)>) {
-            if node == HOME {
-                self.recorded.insert(agent.clone());
-                if let Some(record) = self.nodes[node].custody.hand_off(custody, None) {
-                    self.append(node, record);
-                }
-                return;
-            }
-            let seq = self.nodes[node].next_report_seq;
-            self.nodes[node].next_report_seq += 1;
-            let report = Report {
-                agent: agent.clone(),
-                server: self.names[node].clone(),
-                status: ReportStatus::Completed("done".into()),
-                at: 0,
-            };
-            let ctx = SpanContext::root(TraceId(0), SpanId(0));
-            let msg = Message::Report { report, seq, ctx };
-            let key = (Ack::REPORT, agent.clone(), seq);
-            self.send_reliable(node, HOME, msg, key, None, custody);
-        }
-
-        fn end_frame(&mut self, node: usize, key: &SendKey, how: &'static str) {
-            let id = (node, self.nodes[node].incarnation, key.clone());
-            let seed = self.seed;
-            let tracked = self
-                .frames
-                .get_mut(&id)
-                .expect("an ending frame was tracked");
-            assert!(tracked.ended.is_none(), "seed {seed}: {key:?} ended twice");
-            tracked.ended = Some(how);
-        }
-
-        fn begin_stay(&mut self, node: usize, agent: Urn, hop: u64) {
-            let end = self.now + Duration::from_micros(self.rng.below(3_000));
-            self.nodes[node].stays.push((end, agent, hop));
-        }
-
-        /// A stay ends in a `go` to the next stop or a report home; either
-        /// carries the stay's custody.
-        fn end_stay(&mut self, node: usize, agent: Urn, hop: u64) {
-            let plan = &self.plans[&agent];
-            let at = plan.iter().position(|&s| s == node).unwrap();
-            let rest = plan[at + 1..].to_vec();
-            let custody = Some((agent.clone(), hop));
-            if rest.is_empty() {
-                self.report_home(node, &agent, custody);
-            } else {
-                self.start_leg(node, &agent, hop + 1, &rest, custody);
-            }
-        }
-
-        fn deliver(&mut self, from: usize, to: usize, msg: Message) {
-            if !self.up(to) {
-                return;
-            }
-            let sender = self.names[from].clone();
-            let Some(receipt) = self.nodes[to].custody.receive(&sender, &msg) else {
-                let Message::Ack { kind, agent, seq } = msg else {
-                    unreachable!("the exchange sends transfers, reports and acks");
-                };
-                let key = (kind, agent, seq);
-                if let Some((_, resolve)) = self.nodes[to].custody.acked(&key) {
-                    self.tally.acked += 1;
-                    self.end_frame(to, &key, "acked");
-                    if let Some(record) = resolve {
-                        self.append(to, record);
-                    }
-                }
-                return;
-            };
-            match msg {
-                _ if receipt.duplicate.is_some() => self.tally.duplicates += 1,
-                Message::Transfer {
-                    run_as,
-                    credentials,
-                    image,
-                    hop,
-                    arg,
-                    ctx,
-                    ..
-                } => {
-                    let bundle = AgentBundle {
-                        agent: run_as.clone(),
-                        hop,
-                        credentials,
-                        image,
-                        arg,
-                        ctx,
-                        warm: None,
-                    };
-                    if !self.append(to, WalRecord::Admit(Box::new(bundle))) {
-                        return;
-                    }
-                    let admissions = self.admitted.entry((to, run_as.clone(), hop)).or_default();
-                    *admissions += 1;
-                    assert_eq!(
-                        *admissions, 1,
-                        "seed {}: server {to} admitted {run_as} hop {hop} twice",
-                        self.seed
-                    );
-                    self.begin_stay(to, run_as, hop);
-                }
-                Message::Report { report, .. } => {
-                    self.recorded.insert(report.agent);
-                }
-                _ => unreachable!("only reliable frames earn a receipt"),
-            }
-            self.send(to, from, &receipt.ack);
-        }
-
-        /// One retry pass, as `Shared::service_due` runs it.
-        fn service(&mut self, node: usize) -> Duration {
-            let due = self.nodes[node].custody.take_due(self.now);
-            let (mut resend, mut exhausted) = (due.resend, due.exhausted);
-            resend.sort_by(|a, b| a.0.cmp(&b.0));
-            exhausted.sort_by(|a, b| a.0.cmp(&b.0));
-            let incarnation = self.nodes[node].incarnation;
-            for (key, mut frame, _) in resend {
-                frame.attempt += 1;
-                if !self.send(node, self.index(&frame.dest), &frame.msg) {
-                    return due.wait;
-                }
-                frame.sent_at = self.now;
-                self.nodes[node].custody.track(key, frame);
-            }
-            for (key, mut frame) in exhausted {
-                if self.nodes[node].incarnation != incarnation {
-                    break;
-                }
-                match Custody::dead_stop(&key, &mut frame) {
-                    DeadStop::ReportLost(_) => {
-                        self.tally.lost += 1;
-                        self.end_frame(node, &key, "lost");
-                        self.lost.insert(key.1.clone());
-                    }
-                    DeadStop::SendHome { .. } => {
-                        self.tally.sent_home += 1;
-                        self.end_frame(node, &key, "sent home");
-                        self.report_home(node, &key.1, frame.custody);
-                    }
-                    DeadStop::Skip { .. } => {
-                        self.tally.skipped += 1;
-                        if !self.send(node, self.index(&frame.dest), &frame.msg) {
-                            break;
-                        }
-                        frame.sent_at = self.now;
-                        self.nodes[node].custody.track(key, frame);
-                    }
-                }
-            }
-            due.wait
-        }
-
-        /// The process dies between two effects: its custody core, its
-        /// stays and its open frames are gone; its WAL stays.
-        fn crash(&mut self, node: usize) {
-            self.tally.crashes += 1;
-            let incarnation = self.nodes[node].incarnation;
-            let wal = &self.nodes[node].wal;
-            for ((n, i, key), tracked) in &self.frames {
-                if (*n, *i) != (node, incarnation) || tracked.ended.is_some() {
-                    continue;
-                }
-                let Some((agent, hop)) = &tracked.custody else {
-                    continue;
-                };
-                let admitted = wal.iter().any(
-                    |r| matches!(r, WalRecord::Admit(b) if b.agent == *agent && b.hop == *hop),
-                );
-                let resolved = wal.iter().any(
-                    |r| matches!(r, WalRecord::Resolve { agent: a, hop: h } if a == agent && h == hop),
-                );
-                assert!(
-                    admitted && !resolved,
-                    "seed {}: {agent} hop {hop} rides unacked {key:?} but is not open in the log",
-                    self.seed
-                );
-                self.tally.caught_in_flight += 1;
-            }
-            self.frames
-                .retain(|(n, i, _), t| (*n, *i) != (node, incarnation) || t.ended.is_some());
-            let down = Duration::from_micros(self.rng.below(60_000));
-            let n = &mut self.nodes[node];
-            n.custody = Custody::new(crash_policy());
-            n.stays.clear();
-            n.incarnation += 1;
-            n.down_until = Some(self.now + down);
-        }
-
-        /// A restarted server rebuilds its custody from the durable log
-        /// and re-runs the admissions it hands back.
-        fn restart(&mut self, node: usize) {
-            let n = &mut self.nodes[node];
-            n.down_until = None;
-            n.next_report_seq = 1;
-            let replay = n.custody.recover(AdmissionWal::recover(n.wal.clone()));
-            for bundle in replay {
-                let id = (node, bundle.agent.clone(), bundle.hop);
-                assert!(
-                    self.admitted.contains_key(&id),
-                    "seed {}: a replay is a logged admission",
-                    self.seed
-                );
-                self.tally.replayed += 1;
-                self.begin_stay(node, bundle.agent, bundle.hop);
-            }
-        }
-
-        fn run(&mut self, mut launches: VecDeque<(Duration, Urn)>) {
-            loop {
-                for node in 0..SERVERS {
-                    if self.nodes[node].down_until.is_some_and(|t| t <= self.now) {
-                        self.restart(node);
-                    }
-                }
-                while launches.front().is_some_and(|(t, _)| *t <= self.now) {
-                    let (_, agent) = launches.pop_front().unwrap();
-                    let plan = self.plans[&agent].clone();
-                    self.start_leg(HOME, &agent, 0, &plan, None);
-                }
-                while let Some(entry) = self.link.first_entry() {
-                    if entry.key().0 > self.now {
-                        break;
-                    }
-                    let (from, to, msg) = entry.remove();
-                    self.deliver(from, to, msg);
-                }
-                for node in 0..SERVERS {
-                    let now = self.now;
-                    let (done, running) = std::mem::take(&mut self.nodes[node].stays)
-                        .into_iter()
-                        .partition(|(end, _, _)| *end <= now);
-                    self.nodes[node].stays = running;
-                    let incarnation = self.nodes[node].incarnation;
-                    for (_, agent, hop) in done {
-                        if self.nodes[node].incarnation == incarnation {
-                            self.end_stay(node, agent, hop);
-                        }
-                    }
-                }
-                let mut next = self.now + Duration::from_secs(1);
-                for node in 0..SERVERS {
-                    if self.up(node) {
-                        let wait = self.service(node);
-                        assert!(wait > Duration::ZERO);
-                        next = next.min(self.now + wait);
-                    }
-                }
-                let quiet = self.link.is_empty()
-                    && launches.is_empty()
-                    && self.nodes.iter().all(|n| {
-                        n.down_until.is_none() && n.stays.is_empty() && n.custody.len() == 0
-                    });
-                if quiet {
-                    return;
-                }
-                let events = self
-                    .link
-                    .keys()
-                    .map(|k| k.0)
-                    .chain(launches.front().map(|l| l.0))
-                    .chain(self.nodes.iter().filter_map(|n| n.down_until))
-                    .chain(self.nodes.iter().flat_map(|n| n.stays.iter().map(|s| s.0)));
-                for at in events {
-                    next = next.min(at);
-                }
-                self.now = next.max(self.now + Duration::from_micros(1));
-                assert!(
-                    self.now < Duration::from_secs(600),
-                    "seed {} never settles",
-                    self.seed
-                );
-            }
-        }
-
-        /// The end-state invariants: every frame ended once, every agent
-        /// reached an outcome, and each server's log admitted every key
-        /// once and resolved it at most once — an admission left open
-        /// belongs to an agent whose report was journaled lost.
-        fn check(&self) {
-            let seed = self.seed;
-            for ((node, _, key), tracked) in &self.frames {
-                assert!(
-                    tracked.ended.is_some(),
-                    "seed {seed}: {key:?} at {node} never ended"
-                );
-            }
-            for agent in self.plans.keys() {
-                assert!(
-                    self.recorded.contains(agent) || self.lost.contains(agent),
-                    "seed {seed}: {agent} reached no outcome"
-                );
-            }
-            for (node, n) in self.nodes.iter().enumerate() {
-                let mut admits: HashMap<(Urn, u64), u32> = HashMap::new();
-                let mut resolves: HashMap<(Urn, u64), u32> = HashMap::new();
-                for record in &n.wal {
-                    match record {
-                        WalRecord::Admit(b) => {
-                            *admits.entry((b.agent.clone(), b.hop)).or_default() += 1
-                        }
-                        WalRecord::Resolve { agent, hop } => {
-                            *resolves.entry((agent.clone(), *hop)).or_default() += 1
-                        }
-                    }
-                }
-                for (key, count) in &admits {
-                    assert_eq!(*count, 1, "seed {seed}: server {node} logged {key:?} twice");
-                    let resolved = resolves.get(key).copied().unwrap_or(0);
-                    assert!(
-                        resolved <= 1,
-                        "seed {seed}: server {node} resolved {key:?} twice"
-                    );
-                    assert!(
-                        resolved == 1 || self.lost.contains(&key.0),
-                        "seed {seed}: server {node} left {key:?} open"
-                    );
-                }
-                assert!(resolves.keys().all(|k| admits.contains_key(k)));
-            }
-        }
-    }
-
-    /// Three servers' custody cores exchange transfers, reports and acks
-    /// over a seeded link that drops, duplicates and reorders frames,
-    /// each with its admission WAL in memory. Per seed, one of the two
-    /// non-home servers crashes before its k-th effect (a WAL append or a
-    /// frame sent) and restarts from its durable log through
-    /// [`AdmissionWal::recover`] and [`Custody::recover`]. Checked:
-    ///
-    /// - no server admits an (agent, hop) twice; a WAL replay is the
-    ///   same admission, not a second one;
-    /// - every tracked frame ends exactly once: acked, or out of attempts
-    ///   into one dead-stop outcome;
-    /// - custody is never dropped: at the crash, every admission whose
-    ///   custody rides an unacked frame is still open in the durable log,
-    ///   so recovery replays it, and every launched agent ends with a
-    ///   report recorded at home or journaled lost.
-    ///
-    /// Each seed remembers a few dozen keys, far below `SEEN_CAP` (8,192),
-    /// so no dedup key is ever evicted here. Replay after a restart once
-    /// keys have been evicted (ROADMAP.md item 7) stays open: a captured
-    /// pre-crash transfer whose key has left the window is fresh again.
-    #[test]
-    fn seeded_crash_exchange_never_drops_custody() {
-        const SEEDS: u64 = 240;
-        const AGENTS: u64 = 6;
-        let mut rng = DetRng::new(7);
-        let keys = KeyPair::generate(&mut rng);
-        let credentials = CredentialsBuilder::new(
-            Urn::agent("users.org", ["tour"]).unwrap(),
-            Urn::owner("users.org", ["o"]).unwrap(),
-        )
-        .delegate(Rights::all())
-        .sign(&keys, &mut rng);
-        let mut b = ModuleBuilder::new("m");
-        b.function("run", [Ty::Bytes], [], Ty::Int, vec![Op::PushI(0), Op::Ret]);
-        let module = b.build();
-        let image = AgentImage {
-            globals: module.initial_globals(),
-            module,
-            entry: "run".into(),
-        };
-        let mut total = Tally::default();
-        for seed in 0..SEEDS {
-            let mut rng = DetRng::new(0x5EED_0000 + seed);
-            let crash_at = Some((1 + rng.below(2) as usize, rng.below(24)));
-            let mut plans = BTreeMap::new();
-            let mut launches = VecDeque::new();
-            for i in 0..AGENTS {
-                let mut stops: Vec<usize> = (0..SERVERS).collect();
-                for j in (1..stops.len()).rev() {
-                    stops.swap(j, rng.below(j as u64 + 1) as usize);
-                }
-                stops.truncate(1 + rng.below(SERVERS as u64) as usize);
-                let agent = Urn::agent("users.org", ["tour", &format!("a{i}")]).unwrap();
-                launches.push_back((Duration::from_micros(i * 700), agent.clone()));
-                plans.insert(agent, stops);
-            }
-            let mut exchange = Exchange {
-                seed,
-                now: Duration::ZERO,
-                rng,
-                names: (0..SERVERS)
-                    .map(|s| Urn::server(format!("site{s}.org"), ["s"]).unwrap())
-                    .collect(),
-                nodes: (0..SERVERS)
-                    .map(|_| Node {
-                        custody: Custody::new(crash_policy()),
-                        wal: Vec::new(),
-                        stays: Vec::new(),
-                        next_report_seq: 1,
-                        incarnation: 0,
-                        effects: 0,
-                        down_until: None,
-                    })
-                    .collect(),
-                link: BTreeMap::new(),
-                sends: 0,
-                crash_at,
-                plans,
-                credentials: credentials.clone(),
-                image: image.clone(),
-                admitted: HashMap::new(),
-                frames: HashMap::new(),
-                recorded: HashSet::new(),
-                lost: HashSet::new(),
-                tally: Tally::default(),
-            };
-            exchange.run(launches);
-            exchange.check();
-            let t = &exchange.tally;
-            total.acked += t.acked;
-            total.skipped += t.skipped;
-            total.sent_home += t.sent_home;
-            total.lost += t.lost;
-            total.duplicates += t.duplicates;
-            total.replayed += t.replayed;
-            total.crashes += t.crashes;
-            total.caught_in_flight += t.caught_in_flight;
-        }
-        // The seeds reach every path the invariants speak about.
-        assert!(total.crashes > SEEDS * 3 / 4, "{total:?}");
-        assert!(
-            total.replayed > 0 && total.caught_in_flight > 0,
-            "{total:?}"
-        );
-        assert!(total.skipped > 0 && total.sent_home > 0, "{total:?}");
-        assert!(total.duplicates > 0 && total.acked > 0, "{total:?}");
     }
 }

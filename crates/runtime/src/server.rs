@@ -183,8 +183,8 @@ pub struct Shared {
     /// dedup memory and the unacked frames, which the server loop
     /// services. Never held across a send, span or WAL append.
     custody: Mutex<Custody>,
-    /// The real-time origin of the custody schedule.
-    started: Instant,
+    /// The custody clock, the WAL appends and the scheduler hand-off.
+    port: Box<dyn Port>,
     next_report_seq: AtomicU64,
     /// Hibernated agents, serialized (tentpole: durability). Present on
     /// every server; empty unless `hibernate_after_misses` is set.
@@ -203,6 +203,42 @@ pub struct Shared {
     /// the idle-miss threshold but never the safety gates (no live
     /// proxies, no pending migration).
     hibernate_requests: Mutex<HashSet<Urn>>,
+}
+
+/// The effects of a server that its [`Transport`] does not carry: the
+/// custody clock, admission WAL appends and handing stays to the
+/// scheduler. [`AgentServer::spawn`] runs every server on [`Threaded`];
+/// the seeded simulator in this module's tests steps servers on one
+/// virtual clock through its own port.
+pub(crate) trait Port: Send + Sync {
+    /// Time since the server started, on the custody schedule's clock.
+    fn elapsed(&self) -> Duration;
+
+    /// Appends `record` to `wal`; returns whether it was written.
+    fn append(&self, wal: &AdmissionWal, record: &WalRecord) -> bool;
+
+    /// Hands admitted stays to `sched`.
+    fn run(&self, sched: &Scheduler, stays: &mut dyn Iterator<Item = Box<dyn Task>>);
+}
+
+/// The port of a server on its own thread: real time since it started,
+/// the WAL file, and the worker pool.
+struct Threaded {
+    started: Instant,
+}
+
+impl Port for Threaded {
+    fn elapsed(&self) -> Duration {
+        self.started.elapsed()
+    }
+
+    fn append(&self, wal: &AdmissionWal, record: &WalRecord) -> bool {
+        wal.append(record).is_ok()
+    }
+
+    fn run(&self, sched: &Scheduler, stays: &mut dyn Iterator<Item = Box<dyn Task>>) {
+        sched.spawn_batch(stays);
+    }
 }
 
 /// One proxy grant tracked for control-plane revocation.
@@ -507,6 +543,36 @@ impl Shared {
         Ok(child)
     }
 
+    /// See [`ServerHandle::launch_tour`].
+    fn launch_tour(&self, itinerary: &Itinerary, credentials: Credentials, image: AgentImage) {
+        let (dest, rest) = itinerary.clone().next_stop();
+        let Some(dest) = dest else {
+            self.report_home(
+                &credentials.agent.clone(),
+                &credentials,
+                ReportStatus::Refused("launch with empty itinerary".into()),
+                None,
+                None,
+            );
+            return;
+        };
+        self.launch(dest, credentials, image, rest.stops().to_vec());
+    }
+
+    /// Starts a launch leg on the caller's thread, as `go` and child
+    /// dispatch start theirs. Every launch roots a fresh trace: a
+    /// Dispatch span with no parent, whose id every later span of the
+    /// tour transitively descends from.
+    fn launch(&self, dest: Urn, credentials: Credentials, image: AgentImage, fallbacks: Vec<Urn>) {
+        let launch = Leg::Dispatch {
+            parent: None,
+            payload: Vec::new(),
+            what: "launch",
+        };
+        let agent = credentials.agent.clone();
+        self.start_leg(dest, agent, credentials, image, fallbacks, launch);
+    }
+
     /// Seals and sends one protocol message to a peer server, on this
     /// server's session to it.
     pub fn send_message(&self, to: &Urn, msg: &Message) -> Result<(), String> {
@@ -750,7 +816,7 @@ impl Shared {
             dest: dest.clone(),
             msg,
             attempt: 1,
-            sent_at: self.started.elapsed(),
+            sent_at: self.port.elapsed(),
             recovery,
             ctx,
             first_sent_ns,
@@ -780,7 +846,7 @@ impl Shared {
     /// how long the loop may block before the next pass. `guard` says
     /// when each peer was last heard from.
     fn service_due(&self, guard: &ReplayGuard) -> Duration {
-        let due = self.custody.lock().take_due(self.started.elapsed());
+        let due = self.custody.lock().take_due(self.port.elapsed());
         for (key, entry, waited) in due.resend {
             self.resend(key, entry, waited, guard);
         }
@@ -842,7 +908,7 @@ impl Shared {
     fn send_again(&self, key: SendKey, mut entry: PendingSend, now: u64) {
         entry.last_sent_ns = now;
         let _ = self.send_message(&entry.dest, &entry.msg);
-        entry.sent_at = self.started.elapsed();
+        entry.sent_at = self.port.elapsed();
         self.custody.lock().track(key, entry);
     }
 
@@ -904,7 +970,7 @@ impl Shared {
     /// its ack can physically leave.
     fn wal_append(&self, record: WalRecord) {
         if let Some(wal) = &self.wal {
-            if wal.append(&record).is_ok() {
+            if self.port.append(wal, &record) {
                 self.journal.counters().add(Counter::WalAppends, 1);
             }
         }
@@ -1011,7 +1077,7 @@ impl Shared {
         self.journal
             .histos()
             .record(HistoPath::WakeLatency, t0.elapsed().as_nanos() as u64);
-        self.sched.spawn(Box::new(AgentTask {
+        let task: Box<dyn Task> = Box::new(AgentTask {
             shared: Arc::clone(self),
             domain,
             credentials: bundle.credentials,
@@ -1024,7 +1090,8 @@ impl Shared {
                 env: Box::new(env),
                 interp: Box::new(interp),
             },
-        }));
+        });
+        self.port.run(&self.sched, &mut std::iter::once(task));
         true
     }
 
@@ -1120,7 +1187,9 @@ impl std::ops::Deref for ServerHandle {
 impl ServerHandle {
     /// Launches an agent from this (home) server toward `dest`.
     pub fn launch(&self, dest: Urn, credentials: Credentials, image: AgentImage) {
-        self.start_launch(dest, credentials, image, Vec::new());
+        self.view
+            .shared
+            .launch(dest, credentials, image, Vec::new());
     }
 
     /// Launches an agent along `itinerary`: toward its first stop, with
@@ -1128,39 +1197,7 @@ impl ServerHandle {
     /// launch leg survives an unreachable first server. An empty
     /// itinerary is refused immediately (local report).
     pub fn launch_tour(&self, itinerary: &Itinerary, credentials: Credentials, image: AgentImage) {
-        let (dest, rest) = itinerary.clone().next_stop();
-        let Some(dest) = dest else {
-            self.view.shared.report_home(
-                &credentials.agent.clone(),
-                &credentials,
-                ReportStatus::Refused("launch with empty itinerary".into()),
-                None,
-                None,
-            );
-            return;
-        };
-        self.start_launch(dest, credentials, image, rest.stops().to_vec());
-    }
-
-    /// Starts a launch leg on the caller's thread, as `go` and child
-    /// dispatch start theirs. Every launch roots a fresh trace: a
-    /// Dispatch span with no parent, whose id every later span of the
-    /// tour transitively descends from.
-    fn start_launch(
-        &self,
-        dest: Urn,
-        credentials: Credentials,
-        image: AgentImage,
-        fallbacks: Vec<Urn>,
-    ) {
-        let launch = Leg::Dispatch {
-            parent: None,
-            payload: Vec::new(),
-            what: "launch",
-        };
-        let agent = credentials.agent.clone();
-        let shared = &self.view.shared;
-        shared.start_leg(dest, agent, credentials, image, fallbacks, launch);
+        self.view.shared.launch_tour(itinerary, credentials, image);
     }
 
     /// Registers a resource in this server's registry (server domain).
@@ -1478,6 +1515,31 @@ impl AgentServer {
     /// # Panics
     /// Panics if the server name is already attached to the transport.
     pub fn spawn(net: Arc<dyn Transport>, config: ServerConfig) -> ServerHandle {
+        let thread = format!("ajanta-{}", config.name.leaf());
+        let port = Box::new(Threaded {
+            started: Instant::now(),
+        });
+        let (shared, endpoint, replay) = AgentServer::start(net, config, port);
+        let loop_shared = Arc::clone(&shared);
+        let join = std::thread::Builder::new()
+            .name(thread)
+            .spawn(move || server_loop(loop_shared, endpoint, replay))
+            .expect("spawning server thread");
+
+        ServerHandle {
+            view: ControlView { shared },
+            join: Some(join),
+        }
+    }
+
+    /// Builds a server on `port` and attaches it to `net`, minus its
+    /// loop: returns its state, its endpoint and the admissions its WAL
+    /// replays, which the loop's first step hands on.
+    fn start(
+        net: Arc<dyn Transport>,
+        config: ServerConfig,
+        port: Box<dyn Port>,
+    ) -> (Arc<Shared>, Box<dyn NetEndpoint>, Vec<AgentBundle>) {
         let endpoint = net
             .attach(config.name.clone())
             .expect("server name already attached");
@@ -1541,7 +1603,7 @@ impl AgentServer {
             born,
             outbound: Mutex::new(Outbound::default()),
             custody: Mutex::new(custody),
-            started: Instant::now(),
+            port,
             next_report_seq: AtomicU64::new(1),
             bundles: crate::bundle::BundleStore::in_memory(),
             wal,
@@ -1576,16 +1638,7 @@ impl AgentServer {
             }));
         }
 
-        let loop_shared = Arc::clone(&shared);
-        let join = std::thread::Builder::new()
-            .name(format!("ajanta-{}", config.name.leaf()))
-            .spawn(move || server_loop(loop_shared, endpoint, replay))
-            .expect("spawning server thread");
-
-        ServerHandle {
-            view: ControlView { shared },
-            join: Some(join),
-        }
+        (shared, endpoint, replay)
     }
 }
 
@@ -1593,11 +1646,11 @@ impl AgentServer {
 struct LoopState {
     /// The datagram sessions peers opened to this incarnation.
     guard: ReplayGuard,
-    /// Admitted agents collected this tick; handed to the scheduler as
+    /// Admitted agents collected this step; handed to the scheduler as
     /// one batch so a delivery burst costs one queue wakeup, not N.
     batch: Vec<Box<dyn Task>>,
-    /// Ack/report-ack frames owed for this tick's deliveries, sent after
-    /// the burst drain so a burst of N transfers hands the transport N
+    /// Ack/report-ack frames owed for this step's deliveries, sent after
+    /// the burst so a burst of N transfers hands the transport N
     /// back-to-back acks, which the socket writer coalesces into few
     /// writes. Each ack is queued before its frame's dedup check: ack
     /// first, even duplicates.
@@ -1605,65 +1658,69 @@ struct LoopState {
 }
 
 impl LoopState {
-    /// Sends the acks owed so far, then enqueues the admissions.
-    fn flush(&mut self, shared: &Shared) {
+    /// A new incarnation's loop state. WAL replay: every agent a
+    /// previous incarnation owned but had not resolved is re-admitted
+    /// through the normal admission pipeline, and the first step hands
+    /// it on. Custody already remembers each key, so the peer's own
+    /// retry of the same frame arriving later is a duplicate — and
+    /// `wal_log: false` keeps the replay from re-logging admissions that
+    /// are already in the log unresolved.
+    fn start(shared: &Arc<Shared>, replay: Vec<AgentBundle>) -> LoopState {
+        let mut state = LoopState {
+            guard: ReplayGuard::since(shared.born),
+            batch: Vec::new(),
+            outbox: Vec::new(),
+        };
+        for bundle in replay {
+            shared.journal.append(Event::WalReplayed {
+                agent: bundle.agent.clone(),
+                hop: bundle.hop,
+            });
+            let sent_ns = shared.clock_now();
+            admit(shared, bundle, sent_ns, false, &mut state.batch);
+        }
+        state
+    }
+
+    /// One pass of the server loop: handles the deliveries of `burst`,
+    /// sends the acks they earned, hands the admitted stays on, then
+    /// runs the retry pass and returns how long the loop may wait for
+    /// the next delivery. Retries and dead stops happen here and only
+    /// here, after the acks already received have cleared their frames.
+    fn step(&mut self, shared: &Arc<Shared>, burst: impl Iterator<Item = Delivery>) -> Duration {
+        for delivery in burst {
+            handle_delivery(shared, delivery, self);
+        }
         for (dest, msg) in self.outbox.drain(..) {
             let _ = shared.send_message(&dest, &msg);
         }
         if !self.batch.is_empty() {
-            shared.sched.spawn_batch(self.batch.drain(..));
+            shared.port.run(&shared.sched, &mut self.batch.drain(..));
         }
+        shared.service_due(&self.guard)
     }
 }
 
-/// The server loop: its one inbox is the server's endpoint. It ends
-/// when the endpoint is detached ([`ServerHandle::shutdown`] or a dropped
-/// handle) and everything delivered before has been handled.
+/// The server loop: its one inbox is the server's endpoint. Each step
+/// takes what one receive returned plus everything already delivered,
+/// and the loop then blocks no longer than the step says. Every receive
+/// advances a simulated clock to the delivery's arrival. The loop ends
+/// when the endpoint is detached ([`ServerHandle::shutdown`] or a
+/// dropped handle) and everything delivered before has been handled:
+/// the step that took the last burst sent its acks (a peer must not
+/// re-send a transfer this server admitted) and handed its admissions
+/// to the scheduler, whose drain-on-stop runs them.
 fn server_loop(shared: Arc<Shared>, endpoint: Box<dyn NetEndpoint>, replay: Vec<AgentBundle>) {
-    let mut state = LoopState {
-        guard: ReplayGuard::since(shared.born),
-        batch: Vec::new(),
-        outbox: Vec::new(),
-    };
-    // WAL replay: re-admit every agent a previous incarnation owned but
-    // had not resolved, through the normal admission pipeline. Custody
-    // already remembers each key, so the peer's own retry of the same
-    // frame arriving later is a duplicate — and `wal_log: false` keeps
-    // the replay from re-logging admissions that are already in the log
-    // unresolved.
-    for bundle in replay {
-        shared.journal.append(Event::WalReplayed {
-            agent: bundle.agent.clone(),
-            hop: bundle.hop,
-        });
-        let sent_ns = shared.clock_now();
-        admit(&shared, bundle, sent_ns, false, &mut state.batch);
-    }
-    state.flush(&shared);
+    let mut state = LoopState::start(&shared, replay);
+    let mut first = None;
     loop {
-        // Retries and dead stops happen here and only here: the retry
-        // pass runs after the previous burst was drained and its acks
-        // flushed, so an ack already received clears its frame before
-        // that frame's grace is checked. The loop then blocks no longer
-        // than the next frame needs. Every receive advances a simulated
-        // clock to the delivery's arrival.
-        let wait = shared.service_due(&state.guard);
-        match endpoint.recv_timeout(wait) {
-            Ok(d) => handle_delivery(&shared, d, &mut state),
-            // Detached, and every earlier delivery handled: the pass
-            // that drained the last burst flushed its acks (a peer must
-            // not re-send a transfer this server admitted) and handed
-            // its admissions to the scheduler, whose drain-on-stop runs
-            // them.
+        let rest = std::iter::from_fn(|| endpoint.try_recv().ok());
+        let wait = state.step(&shared, first.take().into_iter().chain(rest));
+        first = match endpoint.recv_timeout(wait) {
+            Ok(delivery) => Some(delivery),
             Err(NetError::Disconnected) => return,
-            Err(_) => {}
-        }
-        // Drain the rest of the burst without blocking, then enqueue
-        // the whole tick's admissions at once.
-        while let Ok(d) = endpoint.try_recv() {
-            handle_delivery(&shared, d, &mut state);
-        }
-        state.flush(&shared);
+            Err(_) => None,
+        };
     }
 }
 
@@ -2227,6 +2284,9 @@ impl AgentTask {
         shared.report_home(run_as, credentials, status, self.parent(), custody);
     }
 }
+
+#[cfg(test)]
+mod sim;
 
 #[cfg(test)]
 mod tests {

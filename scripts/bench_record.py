@@ -40,18 +40,23 @@ median:
 
   worse       it moved the wrong way by more than the metric's bound;
   better      it moved the right way by more than the bound;
-  unresolved  the parent's Q3 - Q1 is wider than the bound relative to its
-              median, and the runs overlap: neither does every change run
-              beat every parent run, nor every parent run every change run;
+  unresolved  the parent's or the change's Q3 - Q1, each relative to its
+              own median, is wider than the bound, and the runs overlap:
+              neither does every change run beat every parent run, nor
+              every parent run every change run;
   within      otherwise.
 
-A clean separation settles a wide spread either way, so a regression that
-every pair shows is reported as worse, never as unresolved. A metric that
+Each line prints both sides' spread (Q3 - Q1 over the side's median), as
+the benchmark gate judges both. A clean separation settles a wide spread
+either way, so a regression that every pair shows is reported as worse,
+never as unresolved. A metric that
 reads better is also marked claimable or not claimable: a gain is
 claimable when the change won at least 9 of every 10 pairs and the
-medians differ by more than the parent's Q3 - Q1. The exit status is 1 if
-any metric is worse beyond its bound, else 0. Entries without end-to-end
-metrics (traced runs) are skipped.
+medians differ by more than the parent's Q3 - Q1. The summary line counts
+the metrics worse beyond their bound, the unresolved ones and the
+claimable gains. The exit status is 1 if any metric is worse beyond its
+bound, else 0; an unresolved metric does not fail it. Entries without
+end-to-end metrics (traced runs) are skipped.
 
     python3 scripts/bench_record.py --compare BENCH_21.json BENCH_23.json
 
@@ -168,19 +173,24 @@ def record_workload(workload, exes, args, seconds, metric_spec, context):
     return entry
 
 
+def spread(q):
+    """Q3 - Q1 relative to the median."""
+    return (q["q3"] - q["q1"]) / q["median"]
+
+
 def judge(workload, m, base, new, base_label):
     """Prints one metric's verdict, `new` runs against `base` runs, and
     returns the word and whether it is a claimable gain."""
     name, bound = m["name"], m["bound"]
     sign = 1 if m["better"] == "higher" else -1
-    q = quartiles(base)
-    med_n = statistics.median(new)
+    q, q_n = quartiles(base), quartiles(new)
+    med_n = q_n["median"]
     moved = sign * (med_n - q["median"]) / q["median"]
-    spread = (q["q3"] - q["q1"]) / q["median"]
+    spread_b, spread_n = spread(q), spread(q_n)
     best_b, worst_b = max(sign * v for v in base), min(sign * v for v in base)
     best_n, worst_n = max(sign * v for v in new), min(sign * v for v in new)
     separated = worst_n > best_b or worst_b > best_n
-    if spread > bound and not separated:
+    if max(spread_b, spread_n) > bound and not separated:
         word = "unresolved"
     elif moved < -bound:
         word = "worse"
@@ -189,12 +199,14 @@ def judge(workload, m, base, new, base_label):
     else:
         word = "within"
     won = sum(1 for b, n in zip(base, new) if sign * (n - b) > 0)
+    new_label = "change" if base_label == "parent" else "new"
     line = (f"{workload:8} {name:17} {word:10} median {q['median']:.4g} -> {med_n:.4g} "
-            f"({sign * moved:+.1%}), {base_label} spread {spread:.0%}, bound {bound:.0%}, "
-            f"{'change' if base_label == 'parent' else 'new'} won {won}/{len(base)} pairs")
+            f"({sign * moved:+.1%}), {base_label} spread {spread_b:.0%}, "
+            f"{new_label} spread {spread_n:.0%}, bound {bound:.0%}, "
+            f"{new_label} won {won}/{len(base)} pairs")
     # The medians' gap against the base's Q3 - Q1, both relative to the
     # base median.
-    claimable = word == "better" and won >= math.ceil(0.9 * len(base)) and abs(moved) > spread
+    claimable = word == "better" and won >= math.ceil(0.9 * len(base)) and abs(moved) > spread_b
     if word == "better":
         line += ", claimable" if claimable else ", not claimable"
     print(line)
@@ -210,17 +222,25 @@ def verdict(path, end_to_end):
     returns the exit status: 1 if any metric is worse beyond its bound."""
     with open(path) as f:
         doc = json.load(f)
-    worse = claims = 0
+    words = []
     for workload, entry in sorted(doc["workloads"].items()):
         for m in end_to_end:
             if m["name"] not in entry["parent"]["runs"][0]["metrics"]:
                 continue
-            word, claimable = judge(workload, m, metric_runs(entry, "parent", m["name"]),
-                                    metric_runs(entry, "change", m["name"]), "parent")
-            worse += word == "worse"
-            claims += claimable
-    print(f"{path}: {'REGRESSION' if worse else 'no regression'} "
-          f"({worse} metric(s) worse beyond their bound, {claims} claimable gain(s))")
+            words.append(judge(workload, m, metric_runs(entry, "parent", m["name"]),
+                               metric_runs(entry, "change", m["name"]), "parent"))
+    return summary(path, words)
+
+
+def summary(label, words):
+    """Prints the summary line of (word, claimable) verdicts and returns
+    the exit status: 1 if any metric is worse beyond its bound."""
+    worse = sum(word == "worse" for word, _ in words)
+    unresolved = sum(word == "unresolved" for word, _ in words)
+    claims = sum(claimable for _, claimable in words)
+    print(f"{label}: {'REGRESSION' if worse else 'no regression'} "
+          f"({worse} metric(s) worse beyond their bound, {unresolved} unresolved, "
+          f"{claims} claimable gain(s))")
     return 1 if worse else 0
 
 
@@ -233,18 +253,14 @@ def compare(old_path, new_path, end_to_end):
         with open(path) as f:
             docs.append(json.load(f)["workloads"])
     old, new = docs
-    worse = claims = 0
+    words = []
     for workload in sorted(set(old) & set(new)):
         for m in end_to_end:
             if m["name"] not in old[workload]["change"]["runs"][0]["metrics"]:
                 continue
-            word, claimable = judge(workload, m, metric_runs(old[workload], "change", m["name"]),
-                                    metric_runs(new[workload], "change", m["name"]), "old")
-            worse += word == "worse"
-            claims += claimable
-    print(f"{old_path} -> {new_path}: {'REGRESSION' if worse else 'no regression'} "
-          f"({worse} metric(s) worse beyond their bound, {claims} claimable gain(s))")
-    return 1 if worse else 0
+            words.append(judge(workload, m, metric_runs(old[workload], "change", m["name"]),
+                               metric_runs(new[workload], "change", m["name"]), "old"))
+    return summary(f"{old_path} -> {new_path}", words)
 
 
 def main():

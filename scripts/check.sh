@@ -18,6 +18,11 @@ run() {
 # The root manifest's default-members cover the facade and every crate
 # under crates/, so build, test and clippy here span the whole system.
 run cargo fmt --all --check
+# Every committed benchmark comparison must still read "no regression"
+# under the current verdict rule; this reads the JSON files, no build.
+for bench in BENCH_*.json; do
+    run python3 scripts/bench_record.py --verdict "$bench"
+done
 run cargo build --release $OFFLINE
 run cargo test -q $OFFLINE
 run cargo clippy --all-targets $OFFLINE -- -D warnings
